@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -123,17 +123,22 @@ class _Driver:
     """Feeds the engine per-iteration tridiagonal data and basis vectors.
 
     Hides which process runs underneath: the per-class conjugation and
-    sign conventions, preconditioning, and where the shift lands.
+    sign conventions, preconditioning, and where the shift lands.  It
+    takes b over (a preconditioned process reuses its storage) and
+    shares the solve's two scratch vectors with the preconditioned step.
     """
 
     def __init__(self, op: LinearOperator, b: np.ndarray, shift: complex,
-                 m_solve: Optional[Callable], reorthogonalize: bool):
+                 m_solve: Optional[Callable], reorthogonalize: bool,
+                 work: Tuple[np.ndarray, np.ndarray]):
         self.op = op
         self.variant = op.symmetry
         self.shift = complex(shift)
         self.m_solve = m_solve
+        self.work = work
         if m_solve is not None:
             self.st = tri.precond_init(b, m_solve, self.variant)
+            self.u = np.empty_like(b)
         elif self.variant is SymmetryClass.SKEW_HERMITIAN:
             self.st = tri.skew_hermitian_init(b, reorthogonalize)
         else:
@@ -145,36 +150,48 @@ class _Driver:
             return self.st.q_curr is not None and self.st.beta_next > 0.0
         return self.st.v_curr is not None
 
-    def u_vector(self) -> np.ndarray:
-        """Solution-basis vector for the upcoming iteration."""
-        if self.m_solve is not None:
-            return self.st.q_curr / self.st.beta_next
-        if self.variant is SymmetryClass.COMPLEX_SYMMETRIC:
-            return np.conj(self.st.v_curr)
-        return self.st.v_curr
-
     def advance(self):
-        """One process step; returns (alpha, sub, sup) for the engine."""
+        """One process step; returns (u, alpha, sub, sup): the
+        solution-basis vector of this iteration and the tridiagonal
+        entries for the engine.  u is valid until the next step."""
         v = self.variant
+        st = self.st
         if self.m_solve is not None:
-            self.st = tri.precond_step(self.op, self.st, self.m_solve, v, self.shift)
+            u = np.divide(st.q_curr, st.beta_next, out=self.u)
+            self.st = tri.precond_step(self.op, st, self.m_solve, v, self.shift, self.work)
         elif v is SymmetryClass.COMPLEX_SYMMETRIC:
-            self.st = tri.complex_symmetric_step(self.op, self.st, self.shift)
-        elif v is SymmetryClass.SKEW_SYMMETRIC:
-            self.st = tri.skew_symmetric_step(self.op, self.st)
-        elif v is SymmetryClass.SKEW_HERMITIAN:
-            self.st = tri.skew_hermitian_step(self.op, self.st)
+            u = np.conj(st.v_curr)
+            self.st = tri.complex_symmetric_step(self.op, st, self.shift, u)
         else:
-            self.st = tri.hermitian_step(self.op, self.st)
+            u = st.v_curr
+            if v is SymmetryClass.SKEW_SYMMETRIC:
+                self.st = tri.skew_symmetric_step(self.op, st)
+            elif v is SymmetryClass.SKEW_HERMITIAN:
+                self.st = tri.skew_hermitian_step(self.op, st)
+            else:
+                self.st = tri.hermitian_step(self.op, st)
         alpha = self.st.alpha
         bn = complex(self.st.beta_next)
         if v is SymmetryClass.SKEW_SYMMETRIC:
-            return -self.shift, -bn, bn
+            return u, -self.shift, -bn, bn
         if v is SymmetryClass.SKEW_HERMITIAN:
-            return alpha - 1j * self.shift, bn, bn
+            return u, alpha - 1j * self.shift, bn, bn
         if v is SymmetryClass.HERMITIAN:
-            return alpha - self.shift, bn, bn
-        return alpha, bn, bn
+            return u, alpha - self.shift, bn, bn
+        return u, alpha, bn, bn
+
+
+def _comb(a, x, b, y, out, tmp, op=np.add):
+    """out = a*x + b*y (op=np.subtract: a*x - b*y), evaluated in the
+    order of that expression.  out may alias x and tmp may alias x or y;
+    out must not alias y."""
+    np.multiply(a, x, out=out)
+    return op(out, np.multiply(b, y, out=tmp), out=out)
+
+
+def _add_scaled(y, a, x, tmp):
+    """y = y + a*x in place, in the order of that expression."""
+    return np.add(y, np.multiply(a, x, out=tmp), out=y)
 
 
 def _as_operator(A, variant) -> LinearOperator:
@@ -234,11 +251,15 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     else:
         m_solve = preconditioner.solve
     x = np.zeros(n, dtype=np.complex128)
+    # the engine's scratch, lent to the preconditioned step as well;
+    # no vector is kept in it from one use to the next
+    work = (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
     try:
-        driver = _Driver(op, b, shift, m_solve, reorthogonalize)
+        driver = _Driver(op, b, shift, m_solve, reorthogonalize, work)
     except PreconditionerBreakdownError:
         return report(StopReason.PreconditionerBreakdown, x, 0, 0,
                       norm2(b), 0.0, 0.0, 0.0, 1.0, 0.0)
+    del b   # the process owns it now; no copy of b stays resident
     beta1 = driver.beta1
     if beta1 == 0.0:
         return report(StopReason.BetaZero_xZero, x, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -270,22 +291,29 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     anorm = 0.0
     gamma_min = math.inf
     acond = 1.0
+    # every vector update below writes into x, these vectors or `work`,
+    # in the operation order of the expression in its comment, so the
+    # bits match the plain expression; only the phase transfer allocates
     d_km1 = np.zeros(n, dtype=np.complex128)
     d_km2 = np.zeros(n, dtype=np.complex128)
-    w_prev = np.zeros(n, dtype=np.complex128)   # w_{k-1}^{(2)}
-    w_prev2 = np.zeros(n, dtype=np.complex128)  # w_{k-2}^{(3)}
-    x2 = np.zeros(n, dtype=np.complex128)       # x_{k-3}^{(2)}
+    w_prev = None       # w_{k-1}^{(2)}, QLP phase
+    w_prev2 = None      # w_{k-2}^{(3)}, QLP phase
+    x2 = None           # x_{k-3}^{(2)}, QLP phase
     in_qlp = False
     transfer_iteration = 0
     lanczos_done = False
     reason: Optional[StopReason] = None
     psi_lag = beta1
     k = 0
+    s_a, s_b = work
+
+    def qlp_iterate():
+        # the QLP phase forms x_k only where it is read (x is None then)
+        return x2 + mu_l * w_prev2 + mu_c * w_prev
 
     try:
         for k in range(1, maxit + 1):
-            u = driver.u_vector()
-            alpha, sub, sup = driver.advance()
+            u, alpha, sub, sup = driver.advance()
             beta_k = driver.st.beta_curr
             beta_next = driver.st.beta_next
             if k == 1:
@@ -363,6 +391,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
                 w_km2_v3 = c2 * w4_km2 + s2 * w_mid               # w_{k-2}^{(3)}
                 w_km1_v2 = c3 * w3_km1 + s3 * w2_k                # w_{k-1}^{(2)}
                 x2 = x - mu_l * w_km2_v3 - mu_c * w_km1_v2
+                x = d_km1 = d_km2 = None
                 in_qlp = True
                 transferred_now = True
                 transfer_iteration = k
@@ -389,21 +418,31 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
                 if chi_full > cfg.maxxnorm:
                     xnorm_stop = True
                 elif gamma2 != 0.0 and not rank_deficient_term:
-                    d_k = (u - delta2 * d_km1 - eps_cur * d_km2) / gamma2
-                    x = x + tau2 * d_k
+                    # d_k = (u - delta2 * d_km1 - eps_cur * d_km2) / gamma2,
+                    # written over d_{k-2}
+                    np.subtract(u, np.multiply(delta2, d_km1, out=s_a), out=s_a)
+                    np.multiply(eps_cur, d_km2, out=d_km2)
+                    np.subtract(s_a, d_km2, out=d_km2)
+                    d_k = np.divide(d_km2, gamma2, out=d_km2)
+                    _add_scaled(x, tau2, d_k, s_a)                # x + tau2 * d_k
                     d_km2 = d_km1
                     d_km1 = d_k
                 chi = chi_full if chi_full <= cfg.maxxnorm else chi
             else:
                 if not transferred_now:
-                    w_mid = np.conj(s2) * w_prev2 - c2 * u         # w_k
-                    w4_km2 = c2 * w_prev2 + s2 * u
-                    w2_k = np.conj(s3) * w_prev - c3 * w_mid
-                    w3_km1 = c3 * w_prev + s3 * w_mid
+                    # w_k = conj(s2) * w_prev2 - c2 * u; then
+                    # w4_km2 = c2 * w_prev2 + s2 * u over w_{k-2}^{(3)}
+                    w_mid = _comb(np.conj(s2), w_prev2, c2, u, s_a, s_b, np.subtract)
+                    w4_km2 = _comb(c2, w_prev2, s2, u, w_prev2, s_b)
                 if k > 2:
-                    x2 = x2 + mu_km2 * w4_km2
+                    _add_scaled(x2, mu_km2, w4_km2, s_b)          # x2 + mu_km2 * w4_km2
+                if not transferred_now:
+                    # w3_km1 = c3 * w_prev + s3 * w_k over w4_km2, whose
+                    # last use was above; w2_k = conj(s3) * w_prev - c3 * w_k
+                    # over w_{k-1}^{(2)}
+                    w3_km1 = _comb(c3, w_prev, s3, w_mid, w4_km2, s_b)
+                    w2_k = _comb(np.conj(s3), w_prev, c3, w_mid, w_prev, w_mid, np.subtract)
                 if chi_full <= cfg.maxxnorm:
-                    x = x2 + mu_km1 * w3_km1 + mu_k * w2_k
                     chi = chi_full
                 else:
                     # drop trailing components until the length bound holds
@@ -442,7 +481,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
                                       phi=phi, psi=psi_lag, chi=chi,
                                       anorm=anorm, acond=acond,
                                       gamma2=gamma2, gamma4=gamma4,
-                                      x=x.copy()))
+                                      x=qlp_iterate() if x is None else x.copy()))
 
             if lanczos_done and k == 1:
                 reason = StopReason.Beta2Zero_OneStep
@@ -475,15 +514,18 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         else:
             reason = StopReason.MaxIt
     except PreconditionerBreakdownError:
-        return report(StopReason.PreconditionerBreakdown, x, k, transfer_iteration,
+        return report(StopReason.PreconditionerBreakdown,
+                      qlp_iterate() if x is None else x, k, transfer_iteration,
                       phi, psi_lag, chi, anorm, acond, omega)
+    if x is None:
+        x = qlp_iterate()
 
     psi_final = 0.0
     if not lanczos_done and driver.can_advance():
         # one look-ahead process step turns the lagged estimate into the
         # one matching the returned iterate
         try:
-            alpha_pk, _, sup_pk = driver.advance()
+            _, alpha_pk, _, sup_pk = driver.advance()
             gamma_pk = np.conj(s1) * delta_next - c1 * alpha_pk
             delta_pk = -c1 * sup_pk
             psi_final = phi * math.hypot(abs(gamma_pk), abs(delta_pk))

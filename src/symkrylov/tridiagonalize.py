@@ -21,7 +21,7 @@ and leave V unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +45,9 @@ class TridiagState:
 
     beta_next is beta_{k+1}; v_curr is v_{k+1} (None once the recurrence
     terminates with beta_{k+1} = 0).  For preconditioned runs z/q carry
-    the auxiliary sequences and v_* stay None.
+    the auxiliary sequences and v_* stay None; a preconditioned step
+    writes z_{k+1} into the storage of z_{k-1}, so only the latest state
+    of a preconditioned run holds valid z vectors.
     """
 
     k: int
@@ -54,7 +56,6 @@ class TridiagState:
     v_curr: Optional[np.ndarray] = None
     alpha: complex = 0.0
     beta_curr: float = 0.0
-    anorm_est: float = 0.0
     basis: Optional[List[np.ndarray]] = field(default=None, repr=False)
     z_prev: Optional[np.ndarray] = None
     z_curr: Optional[np.ndarray] = None
@@ -71,7 +72,6 @@ def _finish_step(st: TridiagState, cand: np.ndarray, alpha: complex, negate: boo
     v_next = None
     if beta_next > 0.0:
         v_next = (-cand if negate else cand) / beta_next
-    col = float(np.sqrt(abs(alpha) ** 2 + st.beta_next**2 + beta_next**2))
     new = TridiagState(
         k=st.k + 1,
         beta_next=beta_next,
@@ -79,7 +79,6 @@ def _finish_step(st: TridiagState, cand: np.ndarray, alpha: complex, negate: boo
         v_curr=v_next,
         alpha=alpha,
         beta_curr=st.beta_next,
-        anorm_est=max(st.anorm_est, col),
         basis=st.basis,
     )
     if new.basis is not None and v_next is not None:
@@ -103,11 +102,15 @@ def skew_hermitian_init(b: np.ndarray, reorthogonalize: bool = False) -> Tridiag
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
-def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0) -> TridiagState:
-    """One complex symmetric step: operate on conj(v_k), shift in place."""
+def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+                           v_conj: Optional[np.ndarray] = None) -> TridiagState:
+    """One complex symmetric step: operate on conj(v_k), shift in place.
+
+    v_conj is conj(v_k) when the caller has already formed it.
+    """
     v = st.v_curr
     assert v is not None, "recurrence already terminated"
-    vc = np.conj(v)
+    vc = np.conj(v) if v_conj is None else v_conj
     p = op(vc)
     if shift != 0.0:
         p = p - shift * vc
@@ -181,7 +184,15 @@ def _precond_pair(z: np.ndarray, m_solve, variant: SymmetryClass):
 
 def precond_init(b: np.ndarray, m_solve: Callable, variant: SymmetryClass,
                  ) -> TridiagState:
-    z1 = 1j * b if variant is SymmetryClass.SKEW_HERMITIAN else b.copy()
+    """Start a preconditioned process from z_1 = b (i*b for skew Hermitian).
+
+    The process takes a complex128 b over: z_1 is b itself, and the
+    second step writes z_3 into its storage.
+    """
+    if variant is SymmetryClass.SKEW_HERMITIAN:
+        z1 = 1j * b
+    else:
+        z1 = np.asarray(b, dtype=np.complex128)
     if norm2(z1) == 0.0:
         return TridiagState(k=0, beta_next=0.0, z_curr=z1, q_curr=np.zeros_like(z1))
     q1, beta1 = _precond_pair(z1, m_solve, variant)
@@ -189,37 +200,51 @@ def precond_init(b: np.ndarray, m_solve: Callable, variant: SymmetryClass,
 
 
 def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
-                 variant: SymmetryClass, shift: complex = 0.0) -> TridiagState:
-    """One preconditioned step; mirrors the plain recurrences in z/q form."""
+                 variant: SymmetryClass, shift: complex = 0.0,
+                 work: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> TridiagState:
+    """One preconditioned step; mirrors the plain recurrences in z/q form.
+
+    z_{k+1} is written into the storage of z_{k-1}, which retires here.
+    `work` is a pair of scratch vectors whose contents are not kept
+    (allocated when absent).  Arrays the operator or the preconditioner
+    return are only read: either may hand back its argument or a cached
+    array.
+    """
     z, q, beta = st.z_curr, st.q_curr, st.beta_next
     assert z is not None and q is not None and beta > 0.0
+    t, t2 = work if work is not None else (np.empty_like(z), np.empty_like(z))
+    z_prev = st.z_prev
+    # each out= call below is one operation of the expression in its
+    # comment, in numpy's evaluation order, so the bits do not change
     if variant is SymmetryClass.SKEW_SYMMETRIC:
-        z_next = -op(q) / beta
-        if st.z_prev is not None:
-            z_next = z_next + (beta / st.beta_curr) * st.z_prev
+        np.divide(np.negative(op(q), out=t), beta, out=t)        # -op(q) / beta
+        if z_prev is not None:                                   # + (beta / beta_k) z_{k-1}
+            np.multiply(beta / st.beta_curr, z_prev, out=z_prev)
+            z_next = np.add(t, z_prev, out=z_prev)
         alpha: complex = 0.0
     else:
+        p = op(q)
         if variant is SymmetryClass.SKEW_HERMITIAN:
-            p = 1j * op(q)
-        else:
-            p = op(q)
-            if variant is SymmetryClass.COMPLEX_SYMMETRIC and shift != 0.0:
-                p = p - shift * q
+            p = np.multiply(1j, p, out=t)
+        elif variant is SymmetryClass.COMPLEX_SYMMETRIC and shift != 0.0:
+            p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)
         if variant is SymmetryClass.COMPLEX_SYMMETRIC:
             alpha = inner_t(q, p) / beta**2
         else:
             alpha = inner_h(q, p) / beta**2
-        z_next = p / beta - (alpha / beta) * z
-        if st.z_prev is not None:
-            z_next = z_next - (beta / st.beta_curr) * st.z_prev
+        np.divide(p, beta, out=t)                                # p / beta - (alpha / beta) z
+        np.subtract(t, np.multiply(alpha / beta, z, out=t2), out=t)
+        if z_prev is not None:                                   # - (beta / beta_k) z_{k-1}
+            np.multiply(beta / st.beta_curr, z_prev, out=z_prev)
+            z_next = np.subtract(t, z_prev, out=z_prev)
+    if z_prev is None:
+        z_next = t.copy()
     q_next, beta_next = _precond_pair(z_next, m_solve, variant)
-    col = float(np.sqrt(abs(alpha) ** 2 + beta**2 + beta_next**2))
     return TridiagState(
         k=st.k + 1,
         beta_next=beta_next,
         alpha=alpha,
         beta_curr=beta,
-        anorm_est=max(st.anorm_est, col),
         z_prev=z,
         z_curr=z_next,
         q_curr=q_next,
