@@ -244,13 +244,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         z = rng.uniforms(mat.n).astype(np.complex128)
         b = mat.matvec(z) if args.rhs_compatible else z
 
+    shift = _parse_shift(args.shift) if args.shift else 0.0
     cfg = SolverConfig(
         tol=args.tol,
         maxit=args.maxit,
         maxxnorm=args.maxxnorm,
         maxcond=args.maxcond,
         trancond=args.trancond,
-        shift=_parse_shift(args.shift) if args.shift else 0.0,
+        shift=shift,
     )
     precond = jacobi_from_matrix(mat) if args.precond == "jacobi" else None
     report = solve(mat, b, variant, cfg, preconditioner=precond)
@@ -261,7 +262,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for name in ("phi", "psi", "chi", "anorm", "acond", "omega"):
         print(f"{name}: {getattr(report, name):.6e}")
     if args.oracle:
-        shift = _parse_shift(args.shift) if args.shift else 0.0
         dense = mat.to_dense()
         if shift != 0.0:
             dense = dense - shift * np.eye(mat.n)

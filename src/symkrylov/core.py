@@ -36,13 +36,6 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
     return v.copy()
 
 
-def axpy(a: complex, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return a*x + y without mutating the inputs."""
-    if x.shape != y.shape:
-        raise ValueError("axpy: shape mismatch")
-    return a * x + y
-
-
 def inner_t(x: np.ndarray, y: np.ndarray) -> complex:
     """Unconjugated (transpose) inner product x^T y."""
     if x.shape != y.shape:
@@ -136,15 +129,12 @@ class SparseMatrix:
 class LinearOperator:
     """Matrix-free operator with a declared symmetry class.
 
-    `apply` computes A @ x.  `shift` is an optional spectral shift the
-    solver folds in; the solve config may also carry one (they must agree
-    if both are nonzero).
+    `apply` computes A @ x.
     """
 
     n: int
     symmetry: SymmetryClass
     apply: Callable[[np.ndarray], np.ndarray]
-    shift: complex = 0.0
     _applies: int = field(default=0, repr=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -155,12 +145,12 @@ class LinearOperator:
         return y
 
     @classmethod
-    def from_matrix(cls, a, symmetry: SymmetryClass, shift: complex = 0.0) -> "LinearOperator":
+    def from_matrix(cls, a, symmetry: SymmetryClass) -> "LinearOperator":
         if isinstance(a, SparseMatrix):
             mat = a
         else:
             mat = SparseMatrix.from_dense(np.asarray(a))
-        return cls(n=mat.n, symmetry=symmetry, apply=mat.matvec, shift=shift)
+        return cls(n=mat.n, symmetry=symmetry, apply=mat.matvec)
 
 
 def probe_symmetry(op: LinearOperator, nprobe: int = 2, seed: int = 20260822) -> float:

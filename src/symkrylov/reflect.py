@@ -52,11 +52,3 @@ def sym_ortho(a: complex, b: complex) -> Reflection:
         r = a / c
     return Reflection(float(c), complex(s), complex(r))
 
-
-def reflect_pair(c: float, s: complex, x, y):
-    """Apply [[c, s], [conj(s), -c]] to the pair (x, y).
-
-    Works elementwise, so x and y may be scalars or vectors.  The same
-    form serves row (left) and column (right) application.
-    """
-    return c * x + s * y, np.conj(s) * x - c * y

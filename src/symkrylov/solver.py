@@ -122,8 +122,8 @@ class SolveReport:
 class _Driver:
     """Feeds the engine per-iteration tridiagonal data and basis vectors.
 
-    Hides which process runs underneath: the per-class conjugation and
-    sign conventions, preconditioning, and where the shift lands.  It
+    Hides which process runs underneath: the class's row of
+    `tri.STRUCTURES`, preconditioning, and where the shift lands.  It
     takes b over (a preconditioned process reuses its storage) and
     shares the solve's two scratch vectors with the preconditioned step.
     """
@@ -132,17 +132,22 @@ class _Driver:
                  m_solve: Optional[Callable], reorthogonalize: bool,
                  work: Tuple[np.ndarray, np.ndarray]):
         self.op = op
-        self.variant = op.symmetry
+        self.row = tri.STRUCTURES[op.symmetry]
         self.shift = complex(shift)
+        # a conj row keeps the shift inside the process; the others
+        # move T's diagonal by rot*shift, which is -shift for a skew row
+        self.process_shift = self.shift if self.row.conj else 0.0
         self.m_solve = m_solve
         self.work = work
         if m_solve is not None:
-            self.st = tri.precond_init(b, m_solve, self.variant)
+            self.step = tri.precond_step
+            self.st = tri.precond_init(b, m_solve, self.row)
             self.u = np.empty_like(b)
-        elif self.variant is SymmetryClass.SKEW_HERMITIAN:
-            self.st = tri.skew_hermitian_init(b, reorthogonalize)
         else:
-            self.st = tri.process_init(b, reorthogonalize)
+            # looked up now, not bound at import: a wrapper installed over
+            # the module attribute then sees every step
+            self.step = getattr(tri, f"{op.symmetry.name.lower()}_step")
+            self.st = tri.process_init(b, self.row, reorthogonalize)
         self.beta1 = self.st.beta_next
 
     def can_advance(self) -> bool:
@@ -154,31 +159,19 @@ class _Driver:
         """One process step; returns (u, alpha, sub, sup): the
         solution-basis vector of this iteration and the tridiagonal
         entries for the engine.  u is valid until the next step."""
-        v = self.variant
-        st = self.st
+        row, st = self.row, self.st
         if self.m_solve is not None:
             u = np.divide(st.q_curr, st.beta_next, out=self.u)
-            self.st = tri.precond_step(self.op, st, self.m_solve, v, self.shift, self.work)
-        elif v is SymmetryClass.COMPLEX_SYMMETRIC:
-            u = np.conj(st.v_curr)
-            self.st = tri.complex_symmetric_step(self.op, st, self.shift, u)
+            self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, self.work)
         else:
-            u = st.v_curr
-            if v is SymmetryClass.SKEW_SYMMETRIC:
-                self.st = tri.skew_symmetric_step(self.op, st)
-            elif v is SymmetryClass.SKEW_HERMITIAN:
-                self.st = tri.skew_hermitian_step(self.op, st)
-            else:
-                self.st = tri.hermitian_step(self.op, st)
-        alpha = self.st.alpha
+            u = np.conj(st.v_curr) if row.conj else st.v_curr
+            self.st = self.step(self.op, st, self.process_shift, u)
         bn = complex(self.st.beta_next)
-        if v is SymmetryClass.SKEW_SYMMETRIC:
+        if row.conj:
+            return u, self.st.alpha, bn, bn
+        if row.skew:
             return u, -self.shift, -bn, bn
-        if v is SymmetryClass.SKEW_HERMITIAN:
-            return u, alpha - 1j * self.shift, bn, bn
-        if v is SymmetryClass.HERMITIAN:
-            return u, alpha - self.shift, bn, bn
-        return u, alpha, bn, bn
+        return u, self.st.alpha - row.rotate(self.shift), bn, bn
 
 
 def _comb(a, x, b, y, out, tmp, op=np.add):
@@ -219,17 +212,13 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     cfg = config or SolverConfig()
     op = _as_operator(A, variant)
     b = as_vector(b, op.n)
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite (it holds NaN or Inf)")
     n = op.n
     rtol = max(float(cfg.tol), EPS)
     maxit = cfg.maxit if cfg.maxit is not None else 4 * n
     if maxit < 1:
         raise ValueError("maxit must be at least 1")
-
-    shift = complex(cfg.shift)
-    if shift == 0.0:
-        shift = complex(op.shift)
-    elif op.shift != 0.0 and complex(op.shift) != shift:
-        raise ValueError("conflicting shifts on config and operator")
 
     def report(reason, x, k, transfer, phi, psi, chi, anorm, acond, omega):
         return SolveReport(x=x, reason=reason, iterations=k,
@@ -255,7 +244,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     # no vector is kept in it from one use to the next
     work = (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
     try:
-        driver = _Driver(op, b, shift, m_solve, reorthogonalize, work)
+        driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize, work)
     except PreconditionerBreakdownError:
         return report(StopReason.PreconditionerBreakdown, x, 0, 0,
                       norm2(b), 0.0, 0.0, 0.0, 1.0, 0.0)

@@ -2,31 +2,34 @@
 
 Each process builds, one step at a time, a unitary basis V and scalars
 (alpha_k, beta_k) so that the operator acts tridiagonally on the basis.
-Variants differ in where conjugation enters and in sign conventions:
+All four symmetry classes run the same three-term recurrence; the row
+`STRUCTURES[cls]` says how a class enters it:
 
-* complex symmetric: the operator is applied to conj(v_k) and the shift
-  stays inside the recurrence (a diagonal shift of T would be wrong here
-  because v^T conj(v) is not 1),
-* skew symmetric: alpha vanishes identically and the new basis vector
-  picks up a minus sign,
-* skew Hermitian: ordinary Hermitian Lanczos run on i*A with starting
-  vector i*b,
-* Hermitian: ordinary Lanczos.
+* `rot`: the recurrence runs on rot*A from the start vector rot*b
+  (i for skew Hermitian, which turns i*A Hermitian; 1 otherwise);
+* `conj`: the operator is applied to conj(v_k) (complex symmetric);
+  the preconditioned form pairs through conj(z) and the transpose
+  inner product instead;
+* `skew`: alpha vanishes identically and each new basis vector picks
+  up a minus sign (skew symmetric), so T carries -beta below its
+  diagonal.
 
-Shifts for the last three are handled by the caller on the tridiagonal
-coefficients; shifting the operator there would only shift T's diagonal
-and leave V unchanged.
+Where the shift lands also follows from the row.  A `conj` row keeps it
+inside the recurrence: a diagonal shift of T would be wrong there
+because v^T conj(v) is not 1.  Every other row leaves V unchanged under
+a shift and moves only T's diagonal, by rot*shift; a `skew` row's
+diagonal is then -shift.  The solver places it; the process steps here
+subtract only a shift they are handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import (
-    EPS,
     LinearOperator,
     PreconditionerBreakdownError,
     SymmetryClass,
@@ -37,6 +40,27 @@ from .core import (
 
 # relative imaginary part allowed in inner products that should be real
 BREAKDOWN_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Structure:
+    """How one symmetry class enters the shared recurrence (see above)."""
+
+    rot: complex
+    conj: bool
+    skew: bool
+
+    def rotate(self, x):
+        """rot*x; x itself when rot is 1, so no copy and no rounding."""
+        return x if self.rot == 1 else self.rot * x
+
+
+STRUCTURES = {
+    SymmetryClass.COMPLEX_SYMMETRIC: Structure(rot=1, conj=True, skew=False),
+    SymmetryClass.SKEW_SYMMETRIC: Structure(rot=1, conj=False, skew=True),
+    SymmetryClass.SKEW_HERMITIAN: Structure(rot=1j, conj=False, skew=False),
+    SymmetryClass.HERMITIAN: Structure(rot=1, conj=False, skew=False),
+}
 
 
 @dataclass
@@ -62,96 +86,74 @@ class TridiagState:
     q_curr: Optional[np.ndarray] = None
 
 
-def _finish_step(st: TridiagState, cand: np.ndarray, alpha: complex, negate: bool) -> TridiagState:
-    if st.basis is not None:
-        # two-pass classical reorthogonalization; test instrumentation only
-        for _ in range(2):
-            for v in st.basis:
-                cand = cand - v * inner_h(v, cand)
-    beta_next = norm2(cand)
-    v_next = None
-    if beta_next > 0.0:
-        v_next = (-cand if negate else cand) / beta_next
-    new = TridiagState(
-        k=st.k + 1,
-        beta_next=beta_next,
-        v_prev=st.v_curr,
-        v_curr=v_next,
-        alpha=alpha,
-        beta_curr=st.beta_next,
-        basis=st.basis,
-    )
-    if new.basis is not None and v_next is not None:
-        new.basis.append(v_next)
-    return new
-
-
-def process_init(b: np.ndarray, reorthogonalize: bool = False) -> TridiagState:
-    """Start a process from v_1 = b/||b||.  Shared by cs, ss, hermitian."""
+def process_init(b: np.ndarray, structure: Structure,
+                 reorthogonalize: bool = False) -> TridiagState:
+    """Start a plain process from v_1 = rot*b/||b||."""
     beta1 = norm2(b)
-    v1 = b / beta1 if beta1 > 0.0 else None
+    v1 = structure.rotate(b) / beta1 if beta1 > 0.0 else None
     basis = [v1] if (reorthogonalize and v1 is not None) else ([] if reorthogonalize else None)
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
-def skew_hermitian_init(b: np.ndarray, reorthogonalize: bool = False) -> TridiagState:
-    """Start from v_1 = i*b/||b||; the i folds the structure into i*A."""
-    beta1 = norm2(b)
-    v1 = (1j * b) / beta1 if beta1 > 0.0 else None
-    basis = [v1] if (reorthogonalize and v1 is not None) else ([] if reorthogonalize else None)
-    return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
+def _step(op: LinearOperator, st: TridiagState, structure: Structure,
+          shift: complex, w: Optional[np.ndarray]) -> TridiagState:
+    """One plain step of the shared recurrence.
 
-
-def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
-                           v_conj: Optional[np.ndarray] = None) -> TridiagState:
-    """One complex symmetric step: operate on conj(v_k), shift in place.
-
-    v_conj is conj(v_k) when the caller has already formed it.
+    The operator is applied to w = conj(v_k) for a `conj` row and to
+    v_k otherwise (pass w when the caller has already formed it).  A
+    nonzero shift is subtracted inside the recurrence; the solver hands
+    one only to a `conj` row, since the others carry it on T.
     """
     v = st.v_curr
     assert v is not None, "recurrence already terminated"
-    vc = np.conj(v) if v_conj is None else v_conj
-    p = op(vc)
+    if w is None:
+        w = np.conj(v) if structure.conj else v
+    cand = structure.rotate(op(w))
     if shift != 0.0:
-        p = p - shift * vc
-    if st.v_prev is not None:
-        p = p - st.beta_next * st.v_prev
-    alpha = inner_h(v, p)
-    cand = p - alpha * v
-    return _finish_step(st, cand, alpha, negate=False)
-
-
-def hermitian_step(op: LinearOperator, st: TridiagState) -> TridiagState:
-    v = st.v_curr
-    assert v is not None, "recurrence already terminated"
-    p = op(v)
-    if st.v_prev is not None:
-        p = p - st.beta_next * st.v_prev
-    alpha = inner_h(v, p)
-    cand = p - alpha * v
-    return _finish_step(st, cand, alpha, negate=False)
-
-
-def skew_hermitian_step(op: LinearOperator, st: TridiagState) -> TridiagState:
-    """Hermitian step for i*A; alpha comes out real up to roundoff."""
-    v = st.v_curr
-    assert v is not None, "recurrence already terminated"
-    p = 1j * op(v)
-    if st.v_prev is not None:
-        p = p - st.beta_next * st.v_prev
-    alpha = inner_h(v, p)
-    cand = p - alpha * v
-    return _finish_step(st, cand, alpha, negate=False)
-
-
-def skew_symmetric_step(op: LinearOperator, st: TridiagState) -> TridiagState:
-    """Skew step: alpha is identically zero, new vector is negated."""
-    v = st.v_curr
-    assert v is not None, "recurrence already terminated"
-    cand = op(v)
+        cand = cand - shift * w
     if st.v_prev is not None:
         cand = cand - st.beta_next * st.v_prev
-    return _finish_step(st, cand, 0.0, negate=True)
+    alpha = 0.0
+    if not structure.skew:
+        alpha = inner_h(v, cand)
+        cand = cand - alpha * v
+    if st.basis is not None:
+        # two-pass classical reorthogonalization against the kept basis
+        for _ in range(2):
+            for u in st.basis:
+                cand = cand - u * inner_h(u, cand)
+    beta_next = norm2(cand)
+    v_next = None
+    if beta_next > 0.0:
+        v_next = (-cand if structure.skew else cand) / beta_next
+        if st.basis is not None:
+            st.basis.append(v_next)
+    return TridiagState(k=st.k + 1, beta_next=beta_next, v_prev=v, v_curr=v_next,
+                        alpha=alpha, beta_curr=st.beta_next, basis=st.basis)
+
+
+# One entry point per class.  Each is a module attribute looked up when a
+# solve starts, so a wrapper installed over it (bench/layertrace.py counts
+# and times steps by these names) sees every call.
+
+def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+                           w: Optional[np.ndarray] = None) -> TridiagState:
+    return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], shift, w)
+
+
+def skew_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+                        w: Optional[np.ndarray] = None) -> TridiagState:
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], shift, w)
+
+
+def skew_hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+                        w: Optional[np.ndarray] = None) -> TridiagState:
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], shift, w)
+
+
+def hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+                   w: Optional[np.ndarray] = None) -> TridiagState:
+    return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], shift, w)
 
 
 def _real_positive(product: complex, what: str) -> float:
@@ -163,17 +165,15 @@ def _real_positive(product: complex, what: str) -> float:
     return float(product.real)
 
 
-def _precond_pair(z: np.ndarray, m_solve, variant: SymmetryClass):
+def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
     """Solve for q and return (q, beta) with beta = sqrt(<q, z>).
 
-    Complex symmetric pairs through conj(z); the transpose inner product
-    then comes out real for real positive definite M.
+    A `conj` row pairs through conj(z) and the transpose inner product,
+    which then comes out real for real positive definite M; every other
+    row pairs through the Hermitian inner product.
     """
-    if variant is SymmetryClass.COMPLEX_SYMMETRIC:
+    if structure.conj:
         q = np.asarray(m_solve(np.conj(z)), dtype=np.complex128)
-        prod = inner_t(q, z)
-    elif variant is SymmetryClass.SKEW_SYMMETRIC:
-        q = np.asarray(m_solve(z), dtype=np.complex128)
         prod = inner_t(q, z)
     else:
         q = np.asarray(m_solve(z), dtype=np.complex128)
@@ -182,33 +182,31 @@ def _precond_pair(z: np.ndarray, m_solve, variant: SymmetryClass):
     return q, float(np.sqrt(beta2))
 
 
-def precond_init(b: np.ndarray, m_solve: Callable, variant: SymmetryClass,
+def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
                  ) -> TridiagState:
-    """Start a preconditioned process from z_1 = b (i*b for skew Hermitian).
+    """Start a preconditioned process from z_1 = rot*b.
 
-    The process takes a complex128 b over: z_1 is b itself, and the
-    second step writes z_3 into its storage.
+    The process takes a complex128 b over: with rot = 1, z_1 is b itself,
+    and the second step writes z_3 into its storage.
     """
-    if variant is SymmetryClass.SKEW_HERMITIAN:
-        z1 = 1j * b
-    else:
-        z1 = np.asarray(b, dtype=np.complex128)
+    z1 = structure.rotate(np.asarray(b, dtype=np.complex128))
     if norm2(z1) == 0.0:
         return TridiagState(k=0, beta_next=0.0, z_curr=z1, q_curr=np.zeros_like(z1))
-    q1, beta1 = _precond_pair(z1, m_solve, variant)
+    q1, beta1 = _precond_pair(z1, m_solve, structure)
     return TridiagState(k=0, beta_next=beta1, z_curr=z1, q_curr=q1)
 
 
 def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
-                 variant: SymmetryClass, shift: complex = 0.0,
+                 structure: Structure, shift: complex = 0.0,
                  work: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> TridiagState:
-    """One preconditioned step; mirrors the plain recurrences in z/q form.
+    """One preconditioned step: the shared recurrence in z/q form.
 
     z_{k+1} is written into the storage of z_{k-1}, which retires here.
     `work` is a pair of scratch vectors whose contents are not kept
     (allocated when absent).  Arrays the operator or the preconditioner
     return are only read: either may hand back its argument or a cached
-    array.
+    array.  A nonzero shift is subtracted inside the recurrence, as in
+    the plain step.
     """
     z, q, beta = st.z_curr, st.q_curr, st.beta_next
     assert z is not None and q is not None and beta > 0.0
@@ -216,30 +214,26 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
     z_prev = st.z_prev
     # each out= call below is one operation of the expression in its
     # comment, in numpy's evaluation order, so the bits do not change
-    if variant is SymmetryClass.SKEW_SYMMETRIC:
-        np.divide(np.negative(op(q), out=t), beta, out=t)        # -op(q) / beta
-        if z_prev is not None:                                   # + (beta / beta_k) z_{k-1}
-            np.multiply(beta / st.beta_curr, z_prev, out=z_prev)
-            z_next = np.add(t, z_prev, out=z_prev)
+    p = op(q)
+    if structure.skew:
         alpha: complex = 0.0
+        np.divide(np.negative(p, out=t), beta, out=t)            # -p / beta
     else:
-        p = op(q)
-        if variant is SymmetryClass.SKEW_HERMITIAN:
-            p = np.multiply(1j, p, out=t)
-        elif variant is SymmetryClass.COMPLEX_SYMMETRIC and shift != 0.0:
-            p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)
-        if variant is SymmetryClass.COMPLEX_SYMMETRIC:
-            alpha = inner_t(q, p) / beta**2
-        else:
-            alpha = inner_h(q, p) / beta**2
+        if structure.rot != 1:
+            p = np.multiply(structure.rot, p, out=t)             # rot * p
+        if shift != 0.0:
+            p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)  # p - shift * q
+        inner = inner_t if structure.conj else inner_h
+        alpha = inner(q, p) / beta**2
         np.divide(p, beta, out=t)                                # p / beta - (alpha / beta) z
         np.subtract(t, np.multiply(alpha / beta, z, out=t2), out=t)
-        if z_prev is not None:                                   # - (beta / beta_k) z_{k-1}
-            np.multiply(beta / st.beta_curr, z_prev, out=z_prev)
-            z_next = np.subtract(t, z_prev, out=z_prev)
     if z_prev is None:
         z_next = t.copy()
-    q_next, beta_next = _precond_pair(z_next, m_solve, variant)
+    else:
+        # t - (beta / beta_k) z_{k-1}; + for a skew row, whose sign is in t
+        np.multiply(beta / st.beta_curr, z_prev, out=z_prev)
+        z_next = (np.add if structure.skew else np.subtract)(t, z_prev, out=z_prev)
+    q_next, beta_next = _precond_pair(z_next, m_solve, structure)
     return TridiagState(
         k=st.k + 1,
         beta_next=beta_next,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from symkrylov.core import (
     EPS,
@@ -11,39 +10,10 @@ from symkrylov.core import (
     StructureError,
     SymmetryClass,
     as_vector,
-    axpy,
     inner_h,
     inner_t,
-    norm2,
     probe_symmetry,
 )
-
-cvec = hnp.arrays(np.complex128, st.integers(min_value=1, max_value=12),
-                  elements=st.complex_numbers(max_magnitude=1e6,
-                                              allow_nan=False,
-                                              allow_infinity=False))
-
-
-def test_axpy_zero_scale():
-    np.testing.assert_array_equal(
-        axpy(0.0, np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 4.0])
-
-
-def test_axpy_unit_and_imaginary():
-    np.testing.assert_array_equal(
-        axpy(1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])), [1.0, 1.0])
-    np.testing.assert_allclose(
-        axpy(1j, np.array([1.0, 1j]), np.zeros(2)), [1j, -1.0], atol=4 * EPS)
-
-
-@given(cvec, st.complex_numbers(max_magnitude=1e3, allow_nan=False,
-                                allow_infinity=False))
-@seed(2026)
-@settings(max_examples=100)
-def test_axpy_norm_scales(x, a):
-    got = norm2(axpy(a, x, np.zeros_like(x)))
-    want = abs(a) * norm2(x)
-    assert abs(got - want) <= 1e-10 * max(want, 1.0)
 
 
 def test_inner_t_oracles():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symkrylov.core import EPS, norm2
-from symkrylov.oracle import SplitMix64, suite_problem
+from symkrylov.oracle import SplitMix64, skew_symmetric_matrix, suite_problem
 from symkrylov.precond import Custom, Diagonal, Identity, jacobi_from_matrix
 from symkrylov.solver import SolverConfig, StopReason, solve
 
@@ -110,6 +110,19 @@ def test_preconditioned_skew_and_hermitian_runs():
                   preconditioner=Diagonal(d))
         s1 = np.linalg.svd(p.a, compute_uv=False)[0]
         assert norm2(p.b - p.a @ r.x) <= 1e-7 * (s1 * norm2(r.x) + norm2(p.b))
+
+
+def test_preconditioned_skew_symmetric_complex_rhs():
+    # the pairing <q, z> must be Hermitian here: the transpose product of
+    # a complex z is not real, which broke down before the first step
+    rng = SplitMix64(5)
+    a = skew_symmetric_matrix(24, rng)
+    b = rng.uniforms(24) + 1j * rng.uniforms(24)
+    d = 0.5 + rng.uniforms(24)
+    r = solve(a, b, "ss", preconditioner=Diagonal(d))
+    assert r.reason is StopReason.Converged_Rnorm
+    x_ref = np.linalg.solve(a, b)
+    assert norm2(r.x - x_ref) <= 1e-12 * norm2(x_ref)
 
 
 def test_custom_wraps_callable():

@@ -5,7 +5,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from symkrylov.core import EPS
-from symkrylov.reflect import Reflection, sym_ortho, reflect_pair
+from symkrylov.reflect import Reflection, sym_ortho
 
 
 def test_real_three_four_five():
@@ -78,19 +78,12 @@ def test_involution(ma, ta, mb, tb):
     a = _cnum(ma, ta)
     b = _cnum(mb, tb)
     r = sym_ortho(a, b)
-    x1, y1 = reflect_pair(r.c, r.s, a, b)
-    x2, y2 = reflect_pair(r.c, r.s, x1, y1)
+    # apply [[c, s], [conj(s), -c]] twice
+    x1, y1 = r.c * a + r.s * b, np.conj(r.s) * a - r.c * b
+    x2, y2 = r.c * x1 + r.s * y1, np.conj(r.s) * x1 - r.c * y1
     scale = max(abs(a), abs(b))
     assert abs(x2 - a) <= 16 * EPS * scale
     assert abs(y2 - b) <= 16 * EPS * scale
-
-
-def test_reflect_pair_elementwise():
-    x = np.array([1.0, 2.0, 0.0])
-    y = np.array([0.0, 1.0, 3.0])
-    u, v = reflect_pair(0.6, 0.8, x, y)
-    np.testing.assert_allclose(u, 0.6 * x + 0.8 * y, rtol=0, atol=4 * EPS)
-    np.testing.assert_allclose(v, 0.8 * x - 0.6 * y, rtol=0, atol=4 * EPS)
 
 
 def test_reflection_is_frozen():

@@ -179,22 +179,23 @@ def test_config_shift_equals_shifted_matrix():
     assert norm2(r1.x - r2.x) <= 1e-9 * norm2(r2.x)
 
 
-def test_operator_shift_field_equivalent():
-    rng = SplitMix64(811)
-    a = symmetric_imaginary_matrix(10, 10, rng)
-    b = rng.uniforms(10).astype(np.complex128)
-    sigma = 0.15
-    op = LinearOperator.from_matrix(a, SymmetryClass.COMPLEX_SYMMETRIC, shift=sigma)
-    r1 = solve(op, b)
-    r2 = solve(a, b, "cs", SolverConfig(shift=sigma))
-    np.testing.assert_array_equal(r1.x, r2.x)
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("variant", ["cs", "ss", "sh", "hermitian"])
+def test_non_finite_rhs_rejected(variant, bad, preconditioned):
+    from symkrylov.oracle import skew_hermitian_matrix, skew_symmetric_matrix
+    from symkrylov.precond import Diagonal
 
-
-def test_conflicting_shifts_rejected():
-    op = LinearOperator.from_matrix(np.eye(3), SymmetryClass.COMPLEX_SYMMETRIC,
-                                    shift=0.5)
-    with pytest.raises(ValueError):
-        solve(op, np.ones(3), config=SolverConfig(shift=0.25))
+    rng = SplitMix64(813)
+    a = {"cs": lambda: symmetric_imaginary_matrix(8, 8, rng),
+         "ss": lambda: skew_symmetric_matrix(8, rng),
+         "sh": lambda: skew_hermitian_matrix(8, rng),
+         "hermitian": lambda: 1j * symmetric_imaginary_matrix(8, 8, rng)}[variant]()
+    b = np.ones(8, dtype=np.complex128)
+    b[3] = bad
+    m = Diagonal(np.full(8, 2.0)) if preconditioned else None
+    with pytest.raises(ValueError, match="finite"):
+        solve(a, b, variant, preconditioner=m)
 
 
 def test_skew_shift_on_tridiagonal_coefficients():

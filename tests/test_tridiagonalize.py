@@ -23,10 +23,7 @@ H = SymmetryClass.HERMITIAN
 
 def run_process(a, variant, b, steps, reorthogonalize=False, shift=0.0):
     op = LinearOperator.from_matrix(a, variant)
-    if variant is SH:
-        st = tri.skew_hermitian_init(b, reorthogonalize)
-    else:
-        st = tri.process_init(b, reorthogonalize)
+    st = tri.process_init(b, tri.STRUCTURES[variant], reorthogonalize)
     vs = [st.v_curr]
     alphas, betas = [], [st.beta_next]
     for _ in range(steps):
@@ -58,25 +55,25 @@ def rect_t(alphas, betas, variant):
 
 
 def test_init_normalizes():
-    st = tri.process_init(1j * np.ones(2))
+    st = tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS])
     assert abs(st.beta_next - np.sqrt(2)) <= 4 * EPS
     np.testing.assert_allclose(st.v_curr, 1j * np.ones(2) / np.sqrt(2), atol=4 * EPS)
-    st = tri.process_init(np.array([1.0, 0.0]))
+    st = tri.process_init(np.array([1.0, 0.0]), tri.STRUCTURES[CS])
     assert st.beta_next == 1.0
     np.testing.assert_array_equal(st.v_curr, [1.0, 0.0])
 
 
 def test_init_zero_b_degenerate():
-    st = tri.process_init(np.zeros(3))
+    st = tri.process_init(np.zeros(3), tri.STRUCTURES[CS])
     assert st.beta_next == 0.0 and st.v_curr is None
-    st = tri.skew_hermitian_init(np.zeros(3))
+    st = tri.process_init(np.zeros(3), tri.STRUCTURES[SH])
     assert st.beta_next == 0.0 and st.v_curr is None
 
 
 def test_cs_step_tiny_diagonal():
     # i*diag(1,0) with b = i[1,1]: alpha_1 = -i/2, beta_2 = 1/2
     op = LinearOperator.from_matrix(1j * np.diag([1.0, 0.0]), CS)
-    st = tri.process_init(1j * np.ones(2))
+    st = tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS])
     st = tri.complex_symmetric_step(op, st)
     assert abs(st.alpha - (-0.5j)) <= 8 * EPS
     assert abs(st.beta_next - 0.5) <= 8 * EPS
@@ -84,7 +81,7 @@ def test_cs_step_tiny_diagonal():
 
 def test_identity_terminates_after_one_step():
     op = LinearOperator.from_matrix(np.eye(3), CS)
-    st = tri.process_init(np.array([1.0, 0.0, 0.0]))
+    st = tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS])
     st = tri.complex_symmetric_step(op, st)
     assert abs(st.alpha - 1.0) <= 4 * EPS
     assert st.beta_next == 0.0 and st.v_curr is None
@@ -92,7 +89,7 @@ def test_identity_terminates_after_one_step():
 
 def test_zero_operator_terminates():
     op = LinearOperator.from_matrix(np.zeros((3, 3)), CS)
-    st = tri.complex_symmetric_step(op, tri.process_init(np.array([1.0, 0.0, 0.0])))
+    st = tri.complex_symmetric_step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]))
     assert st.beta_next == 0.0
 
 
@@ -116,7 +113,7 @@ def test_skew_alpha_identically_zero():
 def test_skew_hermitian_identity_scaled():
     # A = i*I folds to -I: alpha_1 = -1, immediate termination
     op = LinearOperator.from_matrix(1j * np.eye(2), SH)
-    st = tri.skew_hermitian_init(np.array([1.0, 0.0]))
+    st = tri.process_init(np.array([1.0, 0.0]), tri.STRUCTURES[SH])
     np.testing.assert_allclose(st.v_curr, [1j, 0.0], atol=4 * EPS)
     st = tri.skew_hermitian_step(op, st)
     assert abs(st.alpha - (-1.0)) <= 4 * EPS
@@ -247,15 +244,15 @@ def test_precond_identity_first_steps_match_plain():
     b = rng.uniforms(n).astype(np.complex128)
     op = LinearOperator.from_matrix(a, CS)
     ident = lambda z: z.copy()
-    stp = tri.process_init(b)
-    stq = tri.precond_init(b, ident, CS)
+    stp = tri.process_init(b, tri.STRUCTURES[CS])
+    stq = tri.precond_init(b, ident, tri.STRUCTURES[CS])
     assert abs(stp.beta_next - stq.beta_next) <= 4 * EPS
     # drift amplifies through the recurrence, so only early steps are
     # compared; one step stays at a few eps
     for k, (tol_s, tol_v) in enumerate([(4 * EPS, 1e-14), (16 * EPS, 1e-13),
                                         (64 * EPS, 1e-12)]):
         stp = tri.complex_symmetric_step(op, stp)
-        stq = tri.precond_step(op, stq, ident, CS)
+        stq = tri.precond_step(op, stq, ident, tri.STRUCTURES[CS])
         assert abs(stp.alpha - stq.alpha) <= tol_s
         assert abs(stp.beta_next - stq.beta_next) <= tol_s
         v_pre = stq.z_curr / stq.beta_next
@@ -268,8 +265,9 @@ def test_precond_identity_skew_step():
     b = rng.uniforms(9).astype(np.complex128)
     op = LinearOperator.from_matrix(a, SS)
     ident = lambda z: z.copy()
-    stp = tri.skew_symmetric_step(op, tri.process_init(b))
-    stq = tri.precond_step(op, tri.precond_init(b, ident, SS), ident, SS)
+    stp = tri.skew_symmetric_step(op, tri.process_init(b, tri.STRUCTURES[SS]))
+    stq = tri.precond_step(op, tri.precond_init(b, ident, tri.STRUCTURES[SS]), ident,
+                           tri.STRUCTURES[SS])
     assert abs(stp.beta_next - stq.beta_next) <= 16 * EPS
     # plain negates the stored vector; the z recurrence carries the sign
     np.testing.assert_allclose(stq.z_curr / stq.beta_next, stp.v_curr,
@@ -278,7 +276,7 @@ def test_precond_identity_skew_step():
 
 def test_precond_init_skew_hermitian_rotates_b():
     b = np.array([1.0, 2.0])
-    st = tri.precond_init(b, lambda z: z.copy(), SH)
+    st = tri.precond_init(b, lambda z: z.copy(), tri.STRUCTURES[SH])
     np.testing.assert_array_equal(st.z_curr, 1j * b)
 
 
@@ -286,10 +284,10 @@ def test_precond_diagonal_quarter():
     # M = 4I on A = I, b = e1: beta_1 = sqrt(b' M^{-1} b) = 1/2, and the
     # process sees the preconditioned operator M^{-1/2} A M^{-1/2} = I/4
     b = np.array([1.0, 0.0])
-    st = tri.precond_init(b, lambda z: z / 4.0, CS)
+    st = tri.precond_init(b, lambda z: z / 4.0, tri.STRUCTURES[CS])
     assert abs(st.beta_next - 0.5) <= 4 * EPS
     op = LinearOperator.from_matrix(np.eye(2), CS)
-    st = tri.precond_step(op, st, lambda z: z / 4.0, CS)
+    st = tri.precond_step(op, st, lambda z: z / 4.0, tri.STRUCTURES[CS])
     assert abs(st.alpha - 0.25) <= 8 * EPS
     assert st.beta_next <= 8 * EPS
 
@@ -297,10 +295,10 @@ def test_precond_diagonal_quarter():
 def test_precond_breakdown_on_singular_m():
     b = np.array([1.0, 1.0])
     with pytest.raises(PreconditionerBreakdownError):
-        tri.precond_init(b, lambda z: np.zeros_like(z), CS)
+        tri.precond_init(b, lambda z: np.zeros_like(z), tri.STRUCTURES[CS])
 
 
 def test_precond_breakdown_on_indefinite_m():
     b = np.array([1.0, 1.0])
     with pytest.raises(PreconditionerBreakdownError):
-        tri.precond_init(b, lambda z: -z, CS)
+        tri.precond_init(b, lambda z: -z, tri.STRUCTURES[CS])
