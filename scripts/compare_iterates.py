@@ -8,8 +8,10 @@ temporary directory.  Each tree then runs the same fixed set of solves
 in its own interpreter, importing its own src/ and bench/, and the
 outputs are compared bit for bit: every SolveReport field, the
 returned x, and every field of every monitor record.  One line per
-problem reports `same` or the first output whose bits differ; the exit
-status is 1 when any output differs.
+problem reports `same` or the first output whose bits differ, followed
+for a solve by whether its `reason` and `iterations` agree and by the
+relative gap ||x - x_REV|| / ||x_REV||, so a change that moves roundoff
+only can show it; the exit status is 1 when any output differs.
 
 The set:
   * the four generated suites (cs-h, cs-m, ss, sh) at seeds 1-3, two
@@ -145,6 +147,19 @@ def first_difference(a, b):
     return None
 
 
+def how_it_differs(a, b):
+    """Whether reason and iterations agree, and the relative x gap, for
+    two solves' outputs; empty when either one raised."""
+    a, b = dict(a), dict(b)
+    if "x" not in a or "x" not in b:
+        return ""
+    x, x_rev = (np.frombuffer(v[3], dtype=v[1]).reshape(v[2]) for v in (a["x"], b["x"]))
+    gap = np.linalg.norm(x - x_rev) / np.linalg.norm(x_rev)
+    agree = {key: "same" if a[key] == b[key] else "differ" for key in ("reason", "iterations")}
+    return (f"; reason {agree['reason']}, iterations {agree['iterations']}, "
+            f"x gap {gap:.2e}")
+
+
 def run_tree(tree, out_path):
     t0 = time.perf_counter()
     subprocess.run([sys.executable, os.path.abspath(__file__), "--collect", tree, out_path],
@@ -182,9 +197,11 @@ def main(argv=None) -> int:
             continue
         compared += len(ours[pid])
         diff = first_difference(ours[pid], theirs[pid])
-        if diff is not None:
+        if diff is None:
+            print(f"{pid}: same")
+        else:
             differ += 1
-        print(f"{pid}: {'same' if diff is None else 'differs at ' + diff}")
+            print(f"{pid}: differs at {diff}{how_it_differs(ours[pid], theirs[pid])}")
     print(f"{len(ours)} problems, {compared} outputs compared, {differ} problems differ "
           f"(working tree {ours_s:.1f} s, {args.rev} {theirs_s:.1f} s)")
     return 1 if differ else 0

@@ -4,6 +4,7 @@ Hermitian systems, with minimum-length solutions of singular problems."""
 from .core import (
     EPS,
     LinearOperator,
+    NonFiniteError,
     PreconditionerBreakdownError,
     SparseMatrix,
     StructureError,
@@ -24,6 +25,7 @@ from .solver import (
 __all__ = [
     "EPS",
     "LinearOperator",
+    "NonFiniteError",
     "PreconditionerBreakdownError",
     "SparseMatrix",
     "StructureError",

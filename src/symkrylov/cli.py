@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -184,12 +185,15 @@ def read_rhs(path: str, n: int) -> np.ndarray:
             if not stripped or stripped.startswith("%"):
                 continue
             toks = stripped.split()
-            if len(toks) == 1:
-                entries.append(complex(float(toks[0]), 0.0))
-            elif len(toks) == 2:
-                entries.append(complex(float(toks[0]), float(toks[1])))
-            else:
+            if len(toks) not in (1, 2):
                 raise InputError(f"{path}: bad vector line {stripped!r}")
+            try:
+                parts = [float(tok) for tok in toks]
+            except ValueError as exc:
+                raise InputError(f"{path}: bad number in {stripped!r}") from exc
+            if not all(math.isfinite(part) for part in parts):
+                raise InputError(f"{path}: non-finite entry {stripped!r}")
+            entries.append(complex(*parts))
     if len(entries) != n:
         raise InputError(f"{path}: expected {n} entries, found {len(entries)}")
     return np.array(entries, dtype=np.complex128)

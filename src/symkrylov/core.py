@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -17,6 +18,10 @@ class PreconditionerBreakdownError(RuntimeError):
 
 class StructureError(ValueError):
     """The operator failed a probe of its declared symmetry class."""
+
+
+class NonFiniteError(ArithmeticError):
+    """An operator or preconditioner produced NaN or Inf."""
 
 
 class SymmetryClass(str, Enum):
@@ -59,13 +64,19 @@ class SparseMatrix:
     """Square sparse matrix in CSR form, built from COO triplets.
 
     Duplicate entries are summed.  The matvec uses an unbuffered
-    scatter-add so the result does not depend on entry order.
+    scatter-add so the result does not depend on entry order.  The
+    arrays are treated as immutable once built: the row of each entry
+    is computed from indptr once, here.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
@@ -95,8 +106,16 @@ class SparseMatrix:
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense input must be square")
+        # np.nonzero walks the array in row-major order, which is CSR
+        # order already, and a dense array holds no duplicates; adding
+        # 0.0 turns a -0.0 part into +0.0 as from_coo's summation does,
+        # so both builds give the same arrays bit for bit
         rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
+        n = a.shape[0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n=n, indptr=indptr, indices=cols.astype(np.int64, copy=False),
+                   data=a[rows, cols] + 0.0)
 
     @property
     def nnz(self) -> int:
@@ -107,21 +126,18 @@ class SparseMatrix:
         if x.shape[0] != self.n:
             raise ValueError("matvec: length mismatch")
         y = np.zeros(self.n, dtype=np.complex128)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        np.add.at(y, rows, self.data * x[self.indices])
+        np.add.at(y, self._rows, self.data * x[self.indices])
         return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.complex128)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        a[rows, self.indices] += self.data
+        a[self._rows, self.indices] += self.data
         return a
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.complex128)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        on_diag = rows == self.indices
-        np.add.at(d, rows[on_diag], self.data[on_diag])
+        on_diag = self._rows == self.indices
+        np.add.at(d, self._rows[on_diag], self.data[on_diag])
         return d
 
 
@@ -156,8 +172,9 @@ class LinearOperator:
 def probe_symmetry(op: LinearOperator, nprobe: int = 2, seed: int = 20260822) -> float:
     """Check the declared symmetry on random vector pairs.
 
-    Returns the worst relative defect.  Raises ValueError when the
-    operator visibly violates its declared class.
+    Returns the worst relative defect.  Raises StructureError (a
+    ValueError) when the operator visibly violates its declared class,
+    and NonFiniteError when a product holds NaN or Inf.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -172,7 +189,11 @@ def probe_symmetry(op: LinearOperator, nprobe: int = 2, seed: int = 20260822) ->
         ay_norm = norm2(ay)
         z_ay = inner_t(z, ay) if transpose else np.conj(inner_h(z, ay))
         az = op(z)
-        anorm_est = max(anorm_est, ay_norm / norm2(y), norm2(az) / norm2(z))
+        az_norm = norm2(az)
+        # max() would drop a NaN, so a NaN operator would pass the probe
+        if not (math.isfinite(ay_norm) and math.isfinite(az_norm)):
+            raise NonFiniteError("operator returned NaN or Inf in the symmetry probe")
+        anorm_est = max(anorm_est, ay_norm / norm2(y), az_norm / norm2(z))
         scale = max(anorm_est * norm2(y) * norm2(z), EPS)
         y_az = inner_t(y, az) if transpose else inner_h(y, az)
         if cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.HERMITIAN):

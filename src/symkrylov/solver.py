@@ -15,6 +15,7 @@ dividing by the (possibly vanishing) rotated diagonal.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,7 @@ import numpy as np
 from .core import (
     EPS,
     LinearOperator,
+    NonFiniteError,
     PreconditionerBreakdownError,
     SparseMatrix,
     StructureError,
@@ -50,6 +52,7 @@ class StopReason(str, Enum):
     LanczosExhausted = "LanczosExhausted"
     NotStructured = "NotStructured"
     PreconditionerBreakdown = "PreconditionerBreakdown"
+    NonFinite = "NonFinite"
 
 
 # reasons that mean "a solution at the requested accuracy was delivered"
@@ -149,6 +152,8 @@ class _Driver:
             self.step = getattr(tri, f"{op.symmetry.name.lower()}_step")
             self.st = tri.process_init(b, self.row, reorthogonalize)
         self.beta1 = self.st.beta_next
+        if not math.isfinite(self.beta1):
+            raise NonFiniteError("beta_1 is not finite")
 
     def can_advance(self) -> bool:
         if self.m_solve is not None:
@@ -158,7 +163,9 @@ class _Driver:
     def advance(self):
         """One process step; returns (u, alpha, sub, sup): the
         solution-basis vector of this iteration and the tridiagonal
-        entries for the engine.  u is valid until the next step."""
+        entries for the engine.  u is valid until the next step.
+        Raises NonFiniteError when the step yields a non-finite alpha
+        or beta, before the engine sees either."""
         row, st = self.row, self.st
         if self.m_solve is not None:
             u = np.divide(st.q_curr, st.beta_next, out=self.u)
@@ -166,6 +173,9 @@ class _Driver:
         else:
             u = np.conj(st.v_curr) if row.conj else st.v_curr
             self.st = self.step(self.op, st, self.process_shift, u)
+        if not (cmath.isfinite(self.st.alpha) and math.isfinite(self.st.beta_next)):
+            raise NonFiniteError(f"step {self.st.k}: alpha = {self.st.alpha!r}, "
+                                 f"beta = {self.st.beta_next!r}")
         bn = complex(self.st.beta_next)
         if row.conj:
             return u, self.st.alpha, bn, bn
@@ -231,6 +241,9 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         except StructureError:
             return report(StopReason.NotStructured, np.zeros(n, dtype=np.complex128),
                           0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        except NonFiniteError:
+            return report(StopReason.NonFinite, np.zeros(n, dtype=np.complex128),
+                          0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
     # the Identity kind reduces to the plain process exactly; routing it
     # through the z/q recurrences would only reproduce the same run to
@@ -248,6 +261,8 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     except PreconditionerBreakdownError:
         return report(StopReason.PreconditionerBreakdown, x, 0, 0,
                       norm2(b), 0.0, 0.0, 0.0, 1.0, 0.0)
+    except NonFiniteError:
+        return report(StopReason.NonFinite, x, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     del b   # the process owns it now; no copy of b stays resident
     beta1 = driver.beta1
     if beta1 == 0.0:
@@ -502,9 +517,11 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
                 break
         else:
             reason = StopReason.MaxIt
-    except PreconditionerBreakdownError:
-        return report(StopReason.PreconditionerBreakdown,
-                      qlp_iterate() if x is None else x, k, transfer_iteration,
+    except (PreconditionerBreakdownError, NonFiniteError) as exc:
+        # the iterate of the last iteration the engine finished
+        reason = (StopReason.NonFinite if isinstance(exc, NonFiniteError)
+                  else StopReason.PreconditionerBreakdown)
+        return report(reason, qlp_iterate() if x is None else x, k, transfer_iteration,
                       phi, psi_lag, chi, anorm, acond, omega)
     if x is None:
         x = qlp_iterate()
@@ -519,6 +536,9 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
             delta_pk = -c1 * sup_pk
             psi_final = phi * math.hypot(abs(gamma_pk), abs(delta_pk))
         except PreconditionerBreakdownError:
+            psi_final = psi_lag
+        except NonFiniteError:
+            reason = StopReason.NonFinite
             psi_final = psi_lag
     if (reason is StopReason.GammaZero and phi > 0.0
             and psi_final <= rtol * anorm * phi):

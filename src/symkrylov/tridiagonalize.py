@@ -20,12 +20,18 @@ because v^T conj(v) is not 1.  Every other row leaves V unchanged under
 a shift and moves only T's diagonal, by rot*shift; a `skew` row's
 diagonal is then -shift.  The solver places it; the process steps here
 subtract only a shift they are handed.
+
+A reorthogonalized plain process keeps v_1..v_k as the rows of one
+contiguous block (`_Basis`) and takes each new direction through two
+passes of classical Gram-Schmidt (CGS2) against all of them, each pass
+two matrix-vector products with the block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -63,15 +69,59 @@ STRUCTURES = {
 }
 
 
+class _Basis:
+    """The basis a reorthogonalized process keeps: v_1..v_m as the
+    leading rows of one contiguous complex128 block.
+
+    The block doubles when it is full, so an append costs amortized
+    O(n).  Each row is written once, when its vector is formed, and
+    handed out as v_curr (later v_prev); it is never written again, so
+    a caller may keep it.  After a regrow the rows handed out earlier
+    stay valid: they are views of the old block, which they keep alive
+    and which holds the same values.  The class is module-private, so a
+    tracer that wraps public callables (bench/layertrace.py) times its
+    work as part of the step that calls it.
+    """
+
+    def __init__(self, n: int):
+        self._block = np.empty((16, n), dtype=np.complex128)
+        self._m = 0
+
+    def rows(self) -> np.ndarray:
+        """v_1..v_m as an (m, n) view of the block."""
+        return self._block[:self._m]
+
+    def new_row(self) -> np.ndarray:
+        """The next unused row, for the caller to write v_{m+1} into."""
+        if self._m == self._block.shape[0]:
+            grown = np.empty((2 * self._m, self._block.shape[1]), dtype=np.complex128)
+            grown[:self._m] = self._block[:self._m]
+            self._block = grown
+        self._m += 1
+        return self._block[self._m - 1]
+
+    def orthogonalize(self, cand: np.ndarray) -> np.ndarray:
+        """cand less its projection on the kept rows V, by two passes of
+        classical Gram-Schmidt (CGS2); a pass is two matrix-vector
+        products against V, and neither copies V nor forms conj(V)."""
+        v = self.rows()
+        for _ in range(2):
+            h = np.conj(v @ np.conj(cand))      # V^H cand
+            cand = cand - h @ v
+        return cand
+
+
 @dataclass
 class TridiagState:
     """State after k process steps.
 
     beta_next is beta_{k+1}; v_curr is v_{k+1} (None once the recurrence
-    terminates with beta_{k+1} = 0).  For preconditioned runs z/q carry
-    the auxiliary sequences and v_* stay None; a preconditioned step
-    writes z_{k+1} into the storage of z_{k-1}, so only the latest state
-    of a preconditioned run holds valid z vectors.
+    terminates with beta_{k+1} = 0).  A reorthogonalized run keeps its
+    basis in `basis`, whose rows v_curr and v_prev are.  For
+    preconditioned runs z/q carry the auxiliary sequences and v_* stay
+    None; a preconditioned step writes z_{k+1} into the storage of
+    z_{k-1}, so only the latest state of a preconditioned run holds
+    valid z vectors.
     """
 
     k: int
@@ -80,7 +130,7 @@ class TridiagState:
     v_curr: Optional[np.ndarray] = None
     alpha: complex = 0.0
     beta_curr: float = 0.0
-    basis: Optional[List[np.ndarray]] = field(default=None, repr=False)
+    basis: Optional[_Basis] = field(default=None, repr=False)
     z_prev: Optional[np.ndarray] = None
     z_curr: Optional[np.ndarray] = None
     q_curr: Optional[np.ndarray] = None
@@ -90,8 +140,11 @@ def process_init(b: np.ndarray, structure: Structure,
                  reorthogonalize: bool = False) -> TridiagState:
     """Start a plain process from v_1 = rot*b/||b||."""
     beta1 = norm2(b)
-    v1 = structure.rotate(b) / beta1 if beta1 > 0.0 else None
-    basis = [v1] if (reorthogonalize and v1 is not None) else ([] if reorthogonalize else None)
+    basis = _Basis(b.shape[0]) if reorthogonalize else None
+    v1 = None
+    if beta1 > 0.0:
+        v1 = np.divide(structure.rotate(b), beta1,
+                       out=None if basis is None else basis.new_row())
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
@@ -118,16 +171,12 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
         alpha = inner_h(v, cand)
         cand = cand - alpha * v
     if st.basis is not None:
-        # two-pass classical reorthogonalization against the kept basis
-        for _ in range(2):
-            for u in st.basis:
-                cand = cand - u * inner_h(u, cand)
+        cand = st.basis.orthogonalize(cand)
     beta_next = norm2(cand)
     v_next = None
     if beta_next > 0.0:
-        v_next = (-cand if structure.skew else cand) / beta_next
-        if st.basis is not None:
-            st.basis.append(v_next)
+        v_next = np.divide(-cand if structure.skew else cand, beta_next,
+                           out=None if st.basis is None else st.basis.new_row())
     return TridiagState(k=st.k + 1, beta_next=beta_next, v_prev=v, v_curr=v_next,
                         alpha=alpha, beta_curr=st.beta_next, basis=st.basis)
 
@@ -166,7 +215,8 @@ def _real_positive(product: complex, what: str) -> float:
 
 
 def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
-    """Solve for q and return (q, beta) with beta = sqrt(<q, z>).
+    """Solve for q and return (q, beta) with beta = sqrt(<q, z>), or
+    beta = NaN when z holds NaN or Inf, which the solver stops on.
 
     A `conj` row pairs through conj(z) and the transpose inner product,
     which then comes out real for real positive definite M; every other
@@ -178,7 +228,11 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
     else:
         q = np.asarray(m_solve(z), dtype=np.complex128)
         prod = inner_h(q, z)
-    beta2 = _real_positive(prod, "q'z") if norm2(z) > 0.0 else 0.0
+    z_norm = norm2(z)
+    if not math.isfinite(z_norm):
+        # a NaN would fail z_norm > 0 and pass for an exact termination
+        return q, math.nan
+    beta2 = _real_positive(prod, "q'z") if z_norm > 0.0 else 0.0
     return q, float(np.sqrt(beta2))
 
 

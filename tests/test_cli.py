@@ -153,6 +153,20 @@ def test_solve_bundled_hermitian_example(tmp_path, capsys):
     np.testing.assert_allclose(read_rhs(out, 3), np.ones(3), atol=1e-10)
 
 
+@pytest.mark.parametrize("entry", ["nan", "abc"])
+def test_solve_bad_rhs_entry_exits_input(tmp_path, capsys, entry):
+    import os
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    rhs = tmp_path / "b.txt"
+    rhs.write_text(f"1\n{entry}\n2\n")
+    code = main(["solve",
+                 "--matrix", os.path.join(here, "data", "hermitian_tiny.mtx"),
+                 "--rhs", str(rhs)])
+    assert code == EXIT_INPUT
+    assert repr(entry) in capsys.readouterr().err
+
+
 def test_solve_rhs_file(tmp_path, capsys):
     a = np.diag([1.0, 2.0, 4.0]).astype(np.complex128)
     path = _matrix_file(tmp_path, a, "symmetric")

@@ -198,6 +198,61 @@ def test_non_finite_rhs_rejected(variant, bad, preconditioned):
         solve(a, b, variant, preconditioner=m)
 
 
+@pytest.mark.parametrize("trancond", [1e7, 1.0])
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("variant", ["cs", "ss", "sh", "hermitian"])
+def test_non_finite_operator_output_stops(variant, bad, preconditioned, trancond):
+    # the operator turns bad on one call: call 2 is in the symmetry
+    # probe (4 applies), call 9 is the fifth process step
+    from symkrylov.oracle import skew_hermitian_matrix, skew_symmetric_matrix
+    from symkrylov.precond import Diagonal
+
+    rng = SplitMix64(814)
+    n = 24
+    a = {"cs": lambda: symmetric_imaginary_matrix(n, n, rng),
+         "ss": lambda: skew_symmetric_matrix(n, rng),
+         "sh": lambda: skew_hermitian_matrix(n, rng),
+         "hermitian": lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[variant]()
+    b = rng.uniforms(n) + 1j * rng.uniforms(n)
+    m = Diagonal(np.full(n, 2.0)) if preconditioned else None
+    for bad_call in (2, 9):
+        calls = [0]
+
+        def apply(x):
+            calls[0] += 1
+            y = a @ x
+            if calls[0] == bad_call:
+                y[0] = bad
+            return y
+
+        op = LinearOperator(n, SymmetryClass(variant), apply)
+        records = []
+        with np.errstate(all="ignore"):
+            r = solve(op, b, config=SolverConfig(trancond=trancond),
+                      preconditioner=m, monitor=records.append)
+        assert r.reason is StopReason.NonFinite
+        assert StopReason.NonFinite not in CONVERGED_REASONS
+        assert np.isfinite(r.x).all()
+        if bad_call == 9:
+            assert r.iterations == 5
+            # the last iterate the engine finished, bit for bit
+            np.testing.assert_array_equal(r.x, records[-1].x)
+        else:
+            assert r.iterations == 0 and not records
+
+
+@pytest.mark.parametrize("check_structure", [True, False])
+def test_nan_matrix_stops_non_finite(check_structure):
+    a = np.diag(np.arange(1.0, 9.0))
+    a[0, 0] = np.nan
+    with np.errstate(all="ignore"):
+        r = solve(a, np.ones(8), "hermitian",
+                  SolverConfig(check_structure=check_structure))
+    assert r.reason is StopReason.NonFinite
+    assert np.isfinite(r.x).all()
+
+
 def test_skew_shift_on_tridiagonal_coefficients():
     # skew A with shift: engine solves (A - sigma I) x = b
     rng = SplitMix64(812)

@@ -181,6 +181,36 @@ def test_reorthogonalization_keeps_basis_tight():
     assert np.linalg.norm(g - np.eye(n)) <= 1e-13 * n
 
 
+@pytest.mark.parametrize("variant", [CS, SS, SH, H])
+def test_reorthogonalized_basis_block(variant):
+    # 100 rows from a first block of 16 take at least two regrows
+    rng = SplitMix64(917)
+    n = 100
+    a = {CS: lambda: symmetric_imaginary_matrix(n, n, rng),
+         SS: lambda: skew_symmetric_matrix(n, rng),
+         SH: lambda: skew_hermitian_matrix(n, rng),
+         H: lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[variant]()
+    b = rng.uniforms(n).astype(np.complex128)
+    op = LinearOperator.from_matrix(a, variant)
+    step = getattr(tri, f"{variant.name.lower()}_step")
+    st = tri.process_init(b, tri.STRUCTURES[variant], reorthogonalize=True)
+    kept, snapshots = [st.v_curr], [st.v_curr.copy()]
+    blocks = {id(st.basis.rows().base)}
+    for _ in range(n - 1):
+        st = step(op, st)
+        kept.append(st.v_curr)
+        snapshots.append(st.v_curr.copy())
+        blocks.add(id(st.basis.rows().base))
+    assert len(blocks) >= 3
+    for v, snap in zip(kept, snapshots):
+        np.testing.assert_array_equal(v, snap)
+    rows = st.basis.rows()
+    assert rows.shape == (n, n) and rows.flags.c_contiguous
+    assert np.shares_memory(rows, st.v_curr) and np.shares_memory(rows, st.v_prev)
+    g = rows.conj() @ rows.T
+    assert np.linalg.norm(g - np.eye(n)) <= 1e-13 * n
+
+
 def test_shift_inside_matches_shifted_operator():
     rng = SplitMix64(911)
     n = 16
