@@ -17,7 +17,12 @@ The set:
   * the four generated suites (cs-h, cs-m, ss, sh) at seeds 1-3, two
     problems from each of the compatible and least-squares halves,
     under each configuration in CONFIGS, with and without a monitor;
-  * the three bench/ workloads at seed 1.
+  * the three bench/ workloads at seed 1;
+  * a small fixed block of solves, built as in tests/, that stop for
+    each of the nine reasons the sets above do not reach (stop_runs),
+    with and without a monitor.
+Before the summary line, one line tallies the stop reasons of the
+working tree's solves.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import fields
 from enum import Enum
 
@@ -41,6 +47,7 @@ PER_HALF = 2
 BENCH_SEED = 1
 SMALL_XNORM = 2.0     # below the solution norm of every compatible suite problem
 SHIFT = 0.05 + 0.02j
+TESTS_SEED = 42424242   # SEED of tests/test_solver.py and tests/test_ownership.py
 # name -> (SolverConfig overrides, preconditioned?)
 CONFIGS = {
     "default": ({}, False),
@@ -107,6 +114,76 @@ def suite_runs():
                             yield pid, run
 
 
+def stop_runs():
+    """(problem id, solve thunk) for solves that stop for each reason the
+    suites and the workloads do not reach."""
+    import symkrylov as sk
+    from symkrylov.oracle import SplitMix64, suite_problem, symmetric_imaginary_matrix
+
+    eps = np.finfo(float).eps
+
+    def suite(family, n, index, compatible, reorthogonalize=False, **overrides):
+        p = suite_problem(family, n, index, TESTS_SEED, compatible)
+        return (p.a, p.b, p.variant, sk.SolverConfig(**overrides),
+                {"reorthogonalize": reorthogonalize})
+
+    def turns_nan(trancond):
+        # the operator's ninth call, in the fifth process step, writes a NaN
+        rng = SplitMix64(814)
+        a = symmetric_imaginary_matrix(24, 24, rng)
+        b = rng.uniforms(24) + 1j * rng.uniforms(24)
+        calls = [0]
+
+        def apply(x):
+            calls[0] += 1
+            y = a @ x
+            if calls[0] == 9:
+                y[0] = np.nan
+            return y
+        op = sk.LinearOperator(24, sk.SymmetryClass.COMPLEX_SYMMETRIC, apply)
+        return op, b, None, sk.SolverConfig(trancond=trancond), {}
+
+    def turns_indefinite(trancond):
+        # the preconditioner's seventh solve, in the sixth step, flips sign
+        p = suite_problem("cs-h", 30, 0, TESTS_SEED, True)
+        d = 0.5 + SplitMix64(2029).uniforms(30)
+        calls = [0]
+
+        def m_solve(z):
+            calls[0] += 1
+            return z / d if calls[0] <= 6 else -(z / d)
+        return (p.a, p.b, p.variant, sk.SolverConfig(tol=eps, trancond=trancond),
+                {"preconditioner": sk.Custom(m_solve)})
+
+    cases = {
+        "GammaZero": lambda: suite("cs-h", 30, 0, False, tol=eps, maxit=500, maxxnorm=1e300),
+        "CondExceeded": lambda: suite("cs-m", 30, 2, False, tol=eps, maxit=500, maxxnorm=1e300),
+        "MaxIt": lambda: suite("cs-h", 30, 0, True, maxit=1),
+        # with a NaN tol no tolerance test passes, so a basis exhausted
+        # at full rank reports LanczosExhausted
+        "LanczosExhausted": lambda: suite("ss", 31, 0, True, reorthogonalize=True, tol=np.nan),
+        "BetaZero_xZero": lambda: (np.eye(3), np.zeros(3), "cs", sk.SolverConfig(), {}),
+        "Beta2Zero_OneStep": lambda: (1j * np.eye(2), np.array([1.0 + 1.0j, 0.0]), "cs",
+                                      sk.SolverConfig(), {}),
+        "NotStructured": lambda: (np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), "cs",
+                                  sk.SolverConfig(), {}),
+        "NonFinite": lambda: turns_nan(1e7),
+        "NonFinite qlp": lambda: turns_nan(1.0),
+        "PreconditionerBreakdown": lambda: turns_indefinite(1e7),
+        "PreconditionerBreakdown qlp": lambda: turns_indefinite(1.0),
+    }
+    for name, case in cases.items():
+        for monitored in (False, True):
+            def run(case=case, monitored=monitored):
+                a, b, variant, config, kwargs = case()
+                records = [] if monitored else None
+                with np.errstate(all="ignore"):
+                    report = sk.solve(a, b, variant, config,
+                                      monitor=records.append if monitored else None, **kwargs)
+                return outputs(report, records)
+            yield f"stop {name}{' monitor' if monitored else ''}", run
+
+
 def bench_runs(tree):
     sys.path.insert(0, os.path.join(tree, "bench"))
     from workloads import WORKLOADS
@@ -123,7 +200,7 @@ def collect(tree, out_path):
     """Run the set on the package under `tree` and pickle the outputs."""
     sys.path.insert(0, os.path.join(tree, "src"))
     results = {}
-    runs = list(suite_runs())
+    runs = list(suite_runs()) + list(stop_runs())
     if os.path.isdir(os.path.join(tree, "bench")):
         runs += list(bench_runs(tree))
     for pid, run in runs:
@@ -202,6 +279,9 @@ def main(argv=None) -> int:
         else:
             differ += 1
             print(f"{pid}: differs at {diff}{how_it_differs(ours[pid], theirs[pid])}")
+    reasons = Counter(dict(out)["reason"][1] for out in ours.values() if "reason" in dict(out))
+    print("stop reasons (working tree): "
+          + ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items())))
     print(f"{len(ours)} problems, {compared} outputs compared, {differ} problems differ "
           f"(working tree {ours_s:.1f} s, {args.rev} {theirs_s:.1f} s)")
     return 1 if differ else 0

@@ -109,11 +109,17 @@ def mm_read(path: str) -> Tuple[SparseMatrix, str]:
             toks = stripped.split()
             if len(toks) != want:
                 raise InputError(f"{path}: bad entry line {stripped!r}")
-            i = int(toks[0]) - 1
-            j = int(toks[1]) - 1
+            try:
+                i = int(toks[0]) - 1
+                j = int(toks[1]) - 1
+                parts = [float(tok) for tok in toks[2:]]
+            except ValueError as exc:
+                raise InputError(f"{path}: bad number in {stripped!r}") from exc
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"{path}: index out of range in {stripped!r}")
-            v = complex(float(toks[2]), float(toks[3]) if want == 4 else 0.0)
+            if not all(math.isfinite(part) for part in parts):
+                raise InputError(f"{path}: non-finite entry {stripped!r}")
+            v = complex(*parts)
             if symmetry != "general" and i < j:
                 raise InputError(
                     f"{path}: entry above the diagonal in a {symmetry} file")

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """Reflector [[c, s], [conj(s), -c]] with c real, c^2 + |s|^2 = 1.
 
     r is the value the pair (a, b) it was built from maps to:

@@ -1,16 +1,29 @@
-"""Two-phase minimum-residual engine for structured symmetric systems.
+"""Two-phase minimum-residual solver for structured symmetric systems.
 
-Phase one is classical MINRES: a left QR of the growing tridiagonal by
-reflections, with the solution advanced through the usual d-vector
-recurrence.  Once the running condition estimate passes `trancond` the
-engine transfers to a QLP phase that also applies right reflections,
-exposing a rank-revealing lower-triangular factor; solution updates then
-go through W-vectors and stay stable on singular and ill-conditioned
-problems, and the limit point is the minimum-length solution.
+MINRES-QLP (Choi, Paige & Saunders, SIAM J. Sci. Comput. 33(4), 2011)
+runs here in three parts:
 
-The transfer is division free: the last two MINRES d-vectors and the
-current basis vector determine the three live W columns without ever
-dividing by the (possibly vanishing) rotated diagonal.
+* the driver (`_Driver`) runs the class's short-recurrence process and
+  hands over, per iteration, one column of the tridiagonal T_k and the
+  basis vector that goes with it;
+* the engine (`_Engine`) is the scalar recurrence on T_k and touches no
+  vector: left reflections (the QR), right reflections that expose a
+  rank-revealing lower-triangular factor (the QLP), the recurrences for
+  the solution's coordinates mu, the estimates phi, psi, chi, anorm and
+  acond, the rank decisions and the stop tests;
+* the vector side (`_Vectors`) turns the engine's coefficients into
+  vectors.  In the MINRES phase x advances through the d-vector
+  recurrence.  Once the engine's condition estimate passes `trancond`
+  it moves to the QLP phase: updates go through W-vectors and stay
+  stable on singular and ill-conditioned problems, the limit point is
+  the minimum-length solution, and x is formed only where it is read.
+
+The transfer is division free: the last two d-vectors and the current
+basis vector determine the three live W columns without ever dividing
+by the (possibly vanishing) rotated diagonal.
+
+`solve` validates its input, probes the structure, and then loops:
+driver step, engine step, vector update, monitor, stop verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +41,6 @@ from .core import (
     LinearOperator,
     NonFiniteError,
     PreconditionerBreakdownError,
-    SparseMatrix,
     StructureError,
     SymmetryClass,
     as_vector,
@@ -110,16 +122,19 @@ class MonitorRecord:
 
 @dataclass
 class SolveReport:
+    """The result of one solve.  iterations counts the iterations the
+    engine finished; x, phi, psi and chi belong to the last of them."""
+
     x: np.ndarray
     reason: StopReason
-    iterations: int
-    transfer_iteration: int
-    phi: float
-    psi: float
-    chi: float
-    anorm: float
-    acond: float
-    omega: float
+    iterations: int = 0
+    transfer_iteration: int = 0
+    phi: float = 0.0
+    psi: float = 0.0
+    chi: float = 0.0
+    anorm: float = 0.0
+    acond: float = 1.0
+    omega: float = 0.0
 
 
 class _Driver:
@@ -155,33 +170,31 @@ class _Driver:
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
 
-    def can_advance(self) -> bool:
-        if self.m_solve is not None:
-            return self.st.q_curr is not None and self.st.beta_next > 0.0
-        return self.st.v_curr is not None
-
     def advance(self):
-        """One process step; returns (u, alpha, sub, sup): the
-        solution-basis vector of this iteration and the tridiagonal
-        entries for the engine.  u is valid until the next step.
+        """One process step; returns (u, alpha, sub, sup, beta_k,
+        beta_next): the solution-basis vector of this iteration, the
+        tridiagonal entries for the engine and the two betas for its
+        norm estimate.  u is valid until the next step.
         Raises NonFiniteError when the step yields a non-finite alpha
         or beta, before the engine sees either."""
         row, st = self.row, self.st
         if self.m_solve is not None:
             u = np.divide(st.q_curr, st.beta_next, out=self.u)
-            self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, self.work)
+            st = self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, self.work)
         else:
             u = np.conj(st.v_curr) if row.conj else st.v_curr
-            self.st = self.step(self.op, st, self.process_shift, u)
-        if not (cmath.isfinite(self.st.alpha) and math.isfinite(self.st.beta_next)):
-            raise NonFiniteError(f"step {self.st.k}: alpha = {self.st.alpha!r}, "
-                                 f"beta = {self.st.beta_next!r}")
-        bn = complex(self.st.beta_next)
+            st = self.st = self.step(self.op, st, self.process_shift, u)
+        if not (cmath.isfinite(st.alpha) and math.isfinite(st.beta_next)):
+            raise NonFiniteError(f"step {st.k}: alpha = {st.alpha!r}, "
+                                 f"beta = {st.beta_next!r}")
+        bn = complex(st.beta_next)
         if row.conj:
-            return u, self.st.alpha, bn, bn
-        if row.skew:
-            return u, -self.shift, -bn, bn
-        return u, self.st.alpha - row.rotate(self.shift), bn, bn
+            alpha, sub = st.alpha, bn
+        elif row.skew:
+            alpha, sub = -self.shift, -bn
+        else:
+            alpha, sub = st.alpha - row.rotate(self.shift), bn
+        return u, alpha, sub, bn, st.beta_curr, st.beta_next
 
 
 def _comb(a, x, b, y, out, tmp, op=np.add):
@@ -195,6 +208,277 @@ def _comb(a, x, b, y, out, tmp, op=np.add):
 def _add_scaled(y, a, x, tmp):
     """y = y + a*x in place, in the order of that expression."""
     return np.add(y, np.multiply(a, x, out=tmp), out=y)
+
+
+def _mu(tau, eta, mu_a, theta, mu_b, gamma):
+    """One mu recurrence, (tau - eta*mu_a - theta*mu_b) / gamma; zero
+    for a vanished gamma."""
+    return (tau - eta * mu_a - theta * mu_b) / gamma if gamma != 0.0 else 0.0 + 0.0j
+
+
+class _Engine:
+    """The scalar recurrence of MINRES-QLP on the tridiagonal T_k.
+
+    step() takes column k of T_k and leaves, as attributes, what the
+    vector side reads for iteration k (the reflections' c2, s2, c3,
+    s3, the entries delta2, eps_k, gamma2, ... and the mu values), the
+    estimates, and the decisions: the phase, the rank, the length
+    bound.  A register lagged across iterations holds the value of the
+    iteration that set it last; step() shifts it into place first.
+    """
+
+    __slots__ = (
+        "n", "cfg", "rtol", "beta1", "k", "column",
+        # left reflection carried into the next column, and tau_{k+1}
+        "c1", "s1", "delta", "eps", "tau",
+        # iteration k's coefficients
+        "delta2", "eps_k", "gamma2", "tau2", "c2", "s2", "gamma6",
+        "theta2_km1", "c3", "s3", "gamma5", "gamma4", "eta_k", "theta_k",
+        "mu_l", "mu_c", "mu_km2", "mu_km1", "mu_k",
+        # lagged registers: tau2_{k-1}, eta_{k-1}, mu_{k-2}^{(2)}
+        "tau2_km1", "eta_km1", "mu_l2",
+        # estimates and decisions
+        "phi", "phi_prev", "psi", "chi", "chi_locked", "omega", "anorm",
+        "gamma_min", "acond", "lanczos_done", "rank_deficient", "qlp",
+        "transfer", "transfer_iteration", "xnorm_stop", "keep_km1",
+    )
+
+    def __init__(self, n: int, beta1: float, cfg: SolverConfig):
+        self.n, self.cfg, self.beta1 = n, cfg, beta1
+        self.rtol = max(float(cfg.tol), EPS)
+        self.k = 0
+        # the sentinel c = -1 makes iteration 1 come out as
+        # gamma_1 = alpha_1, delta_2 = sup_2
+        self.c1, self.s1 = -1.0, 0.0 + 0.0j
+        self.delta = self.eps = self.tau2 = self.tau2_km1 = 0.0 + 0.0j
+        self.gamma5 = self.gamma4 = self.eta_k = self.eta_km1 = 0.0 + 0.0j
+        self.theta2_km1 = self.theta_k = 0.0 + 0.0j
+        self.mu_l2 = self.mu_km2 = self.mu_km1 = self.mu_k = 0.0 + 0.0j
+        self.tau = beta1 + 0.0j
+        self.phi = self.psi = beta1
+        self.chi = self.chi_locked = self.omega = self.anorm = 0.0
+        self.gamma_min = math.inf
+        self.acond = 1.0
+        self.lanczos_done = self.qlp = False
+        self.transfer_iteration = 0
+
+    def lookahead(self, alpha, sup):
+        """(psi, gamma, delta) from alpha and sup of the column after
+        the last one stepped: gamma is that column's diagonal and delta
+        the entry right of it, both after the last left reflection
+        (gamma_{k+1}, delta_{k+2}); psi = phi*||(gamma, delta)|| is the
+        A*r estimate for iterate k."""
+        gamma = np.conj(self.s1) * self.delta - self.c1 * alpha
+        delta = -self.c1 * sup
+        return self.phi * math.hypot(abs(gamma), abs(delta)), gamma, delta
+
+    def step(self, alpha, sub, sup, beta_k, beta_next) -> None:
+        """Iteration k on column k of T: diagonal alpha, sub below it,
+        sup to its right in row k; beta_k and beta_{k+1} feed the norm
+        estimate."""
+        cfg = self.cfg
+        self.k = k = self.k + 1
+        tau2_km2, self.tau2_km1 = self.tau2_km1, self.tau2
+        eta_km2, self.eta_km1 = self.eta_km1, self.eta_k
+        mu_l3, self.mu_l2 = self.mu_l2, self.mu_km2
+        self.mu_l, self.mu_c = self.mu_km1, self.mu_k
+
+        if k == 1:
+            rho = math.hypot(abs(alpha), beta_next)
+        else:
+            rho = math.hypot(beta_k, abs(alpha), beta_next)
+        anorm = max(self.anorm, rho)
+        self.lanczos_done = beta_next <= self.n * anorm * EPS
+        if self.lanczos_done:
+            sub = sup = 0.0 + 0.0j
+        self.column = (alpha, sub, sup)
+
+        # left reflections: finish column k, start column k+1
+        self.psi, gamma_pre, delta_next = self.lookahead(alpha, sup)
+        delta2 = self.c1 * self.delta + self.s1 * alpha
+        eps_k, self.eps = self.eps, self.s1 * sup
+        c1, s1, gamma2 = sym_ortho(gamma_pre, sub)
+        tau2 = c1 * self.tau
+        self.tau = np.conj(s1) * self.tau
+        self.phi_prev = self.phi
+        self.phi = self.phi_prev * abs(s1)
+        self.c1, self.s1, self.delta = c1, s1, delta_next
+
+        # right reflections (scalars run in both phases)
+        c2, s2, gamma6 = sym_ortho(self.gamma5, eps_k)
+        theta2_km2 = self.theta2_km1
+        theta2_km1 = c2 * self.theta_k + s2 * delta2
+        delta3 = np.conj(s2) * self.theta_k - c2 * delta2
+        eta_k = s2 * gamma2
+        gamma3 = -c2 * gamma2
+        c3, s3, gamma5 = sym_ortho(self.gamma4, delta3)
+        theta_k = s3 * gamma3
+        gamma4 = -c3 * gamma3
+
+        # norm and condition estimates over the revealed diagonal
+        gamma_min = self.gamma_min
+        for gamma in (gamma6, gamma5, gamma4)[max(3 - k, 0):]:
+            anorm = max(anorm, abs(gamma))
+            gamma_min = min(gamma_min, abs(gamma))
+        self.anorm, self.gamma_min = anorm, gamma_min
+        self.acond = anorm / gamma_min if gamma_min > 0.0 else math.inf
+
+        # noise scale for rank decisions; the n factor keeps the
+        # classification robust once beta terminates at roundoff level
+        tiny_rank = self.n * EPS * max(anorm, 1.0)
+        # a deficient final column is the one signal phi cannot carry:
+        # the terminal rotation has |s| = 0 for either rank, so the
+        # revealed diagonal decides; its roundoff level after an
+        # exhausted basis sits well above n*eps*anorm
+        self.rank_deficient = self.lanczos_done and abs(gamma4) <= max(
+            tiny_rank, math.sqrt(EPS) * max(anorm, 1.0))
+        if self.rank_deficient or abs(gamma4) < EPS:
+            # a collapsed revealed diagonal means the rotation's
+            # residual reduction was noise; undo the phi update
+            self.phi = self.phi_prev
+
+        self.transfer = not self.qlp and (cfg.trancond <= 1.0 or self.acond > cfg.trancond)
+        if self.transfer:
+            self.qlp, self.transfer_iteration = True, k
+
+        # mu recurrences (final values lag two iterations)
+        mu_km2 = mu_km1 = 0.0 + 0.0j
+        if k > 2:
+            mu_km2 = _mu(tau2_km2, eta_km2, mu_l3, theta2_km2, self.mu_l2, gamma6)
+        if k > 1:
+            mu_km1 = _mu(self.tau2_km1, self.eta_km1, self.mu_l2, theta2_km1, mu_km2, gamma5)
+        if abs(gamma4) <= tiny_rank or self.rank_deficient:
+            mu_k = 0.0 + 0.0j
+        else:
+            mu_k = _mu(tau2, eta_k, mu_km2, theta_k, mu_km1, gamma4)
+        if k > 2:
+            self.chi_locked = math.hypot(self.chi_locked, abs(mu_km2))
+        chi_full = math.hypot(self.chi_locked, abs(mu_km1), abs(mu_k))
+        # past the length bound the MINRES phase skips the x update; the
+        # QLP phase drops trailing components until the bound holds
+        fits = chi_full <= cfg.maxxnorm
+        if fits:
+            self.chi = chi_full
+        elif self.qlp:
+            chi_part = math.hypot(self.chi_locked, abs(mu_km1))
+            self.keep_km1 = chi_part <= cfg.maxxnorm
+            self.chi = chi_part if self.keep_km1 else self.chi_locked
+        # a NaN chi_full neither fits nor exceeds: the QLP phase stops on
+        # it, the MINRES phase goes on
+        self.xnorm_stop = not fits if self.qlp else chi_full > cfg.maxxnorm
+        self.omega = math.hypot(self.omega, abs(tau2))
+
+        self.delta2, self.eps_k, self.gamma2, self.tau2 = delta2, eps_k, gamma2, tau2
+        self.c2, self.s2, self.gamma6, self.theta2_km1 = c2, s2, gamma6, theta2_km1
+        self.c3, self.s3, self.gamma5, self.gamma4 = c3, s3, gamma5, gamma4
+        self.eta_k, self.theta_k = eta_k, theta_k
+        self.mu_km2, self.mu_km1, self.mu_k = mu_km2, mu_km1, mu_k
+
+    def ar_converged(self, psi: float, phi: float) -> bool:
+        """The A*r test for an iterate with residual estimate phi."""
+        return phi > 0.0 and psi <= self.rtol * self.anorm * phi
+
+    def verdict(self) -> Optional[StopReason]:
+        """Why to stop after iteration k, or None to go on."""
+        if self.lanczos_done and self.k == 1:
+            return StopReason.Beta2Zero_OneStep
+        if self.phi / (self.anorm * self.chi + self.beta1) <= self.rtol:
+            return StopReason.Converged_Rnorm
+        if self.ar_converged(self.psi, self.phi_prev):
+            return StopReason.Converged_ArNorm
+        if self.lanczos_done:
+            return StopReason.Converged_ArNorm if self.rank_deficient else StopReason.LanczosExhausted
+        if abs(self.gamma4) < EPS or (not self.qlp and self.gamma2 == 0.0):
+            # rank-revealed diagonal collapsed (the d-recurrence
+            # would be undefined too); phi was already reverted
+            return StopReason.GammaZero
+        if self.acond >= max(self.cfg.maxcond, 1.0 / EPS):
+            return StopReason.CondExceeded
+        if self.xnorm_stop:
+            return StopReason.XnormExceeded
+        return None
+
+    def record(self, x: np.ndarray) -> MonitorRecord:
+        """The monitor's view of iteration k, with iterate x."""
+        return MonitorRecord(self.k, *self.column, self.phi, self.psi, self.chi, self.anorm,
+                             self.acond, self.gamma2, self.gamma4, x)
+
+
+class _Vectors:
+    """The vector side: x and the d-vectors in the MINRES phase;
+    x_{k-3}^{(2)} and the two live W-vectors in the QLP phase, where x
+    is formed only where it is read (x is None then, unless the length
+    bound truncated it).
+
+    Every update writes into x, these vectors or `work`, in the
+    operation order of the expression in its comment, so the bits match
+    the plain expression; only the phase transfer allocates.
+    """
+
+    __slots__ = ("x", "d_km1", "d_km2", "x2", "w_prev", "w_prev2", "work")
+
+    def __init__(self, x: np.ndarray, work: Tuple[np.ndarray, np.ndarray]):
+        self.x = x
+        self.d_km1 = np.zeros_like(x)
+        self.d_km2 = np.zeros_like(x)
+        # x_{k-3}^{(2)}, w_{k-1}^{(2)} and w_{k-2}^{(3)}: QLP phase
+        self.x2 = self.w_prev = self.w_prev2 = None
+        self.work = work
+
+    def update(self, u: np.ndarray, e: _Engine) -> None:
+        """Apply iteration e.k, whose solution-basis vector is u."""
+        s_a, s_b = self.work
+        if not e.qlp:
+            if not e.xnorm_stop and e.gamma2 != 0.0 and not e.rank_deficient:
+                # d_k = (u - delta2 * d_km1 - eps_k * d_km2) / gamma2,
+                # written over d_{k-2}
+                np.subtract(u, np.multiply(e.delta2, self.d_km1, out=s_a), out=s_a)
+                np.multiply(e.eps_k, self.d_km2, out=self.d_km2)
+                np.subtract(s_a, self.d_km2, out=self.d_km2)
+                d_k = np.divide(self.d_km2, e.gamma2, out=self.d_km2)
+                _add_scaled(self.x, e.tau2, d_k, s_a)                 # x + tau2 * d_k
+                self.d_km2, self.d_km1 = self.d_km1, d_k
+            return
+        if e.transfer:
+            w4_km2, w3_km1, w2_k = self._transfer(u, e)
+        else:
+            # w_k = conj(s2) * w_prev2 - c2 * u; then
+            # w4_km2 = c2 * w_prev2 + s2 * u over w_{k-2}^{(3)}
+            w_mid = _comb(np.conj(e.s2), self.w_prev2, e.c2, u, s_a, s_b, np.subtract)
+            w4_km2 = _comb(e.c2, self.w_prev2, e.s2, u, self.w_prev2, s_b)
+        if e.k > 2:
+            _add_scaled(self.x2, e.mu_km2, w4_km2, s_b)               # x2 + mu_km2 * w4_km2
+        if not e.transfer:
+            # w3_km1 = c3 * w_prev + s3 * w_k over w4_km2, whose last use
+            # was above; w2_k = conj(s3) * w_prev - c3 * w_k over w_{k-1}^{(2)}
+            w3_km1 = _comb(e.c3, self.w_prev, e.s3, w_mid, w4_km2, s_b)
+            w2_k = _comb(np.conj(e.s3), self.w_prev, e.c3, w_mid, self.w_prev, w_mid, np.subtract)
+        if e.xnorm_stop:
+            # the length bound dropped mu_k, and mu_{k-1} unless keep_km1
+            self.x = self.x2 + e.mu_km1 * w3_km1 if e.keep_km1 else self.x2.copy()
+        self.w_prev2, self.w_prev = w3_km1, w2_k
+
+    def _transfer(self, u: np.ndarray, e: _Engine):
+        """Division-free phase transfer: reconstruct the three live W
+        columns (w4_km2, w3_km1, w2_k) from the d-vectors, then rebase x
+        to x_{k-3}^{(2)}."""
+        d_km1, d_km2 = self.d_km1, self.d_km2
+        u_num = u - e.delta2 * d_km1 - e.eps_k * d_km2
+        w4_km2 = e.gamma6 * d_km2 + e.theta2_km1 * d_km1 + e.s2 * u_num
+        w3_km1 = e.gamma5 * d_km1 - (e.c2 * e.s3) * u_num
+        w2_k = (e.c2 * e.c3) * u_num
+        w_mid = np.conj(e.s3) * w3_km1 - e.c3 * w2_k                   # w_k
+        w_km2_v3 = e.c2 * w4_km2 + e.s2 * w_mid                        # w_{k-2}^{(3)}
+        w_km1_v2 = e.c3 * w3_km1 + e.s3 * w2_k                         # w_{k-1}^{(2)}
+        self.x2 = self.x - e.mu_l * w_km2_v3 - e.mu_c * w_km1_v2
+        self.x = self.d_km1 = self.d_km2 = None
+        return w4_km2, w3_km1, w2_k
+
+    def iterate(self, e: _Engine, copy: bool = False) -> np.ndarray:
+        """x_k; a fresh array when copy is set or when it is formed."""
+        if self.x is None:
+            return self.x2 + e.mu_km1 * self.w_prev2 + e.mu_k * self.w_prev
+        return self.x.copy() if copy else self.x
 
 
 def _as_operator(A, variant) -> LinearOperator:
@@ -225,25 +509,17 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     if not np.isfinite(b).all():
         raise ValueError("b must be finite (it holds NaN or Inf)")
     n = op.n
-    rtol = max(float(cfg.tol), EPS)
     maxit = cfg.maxit if cfg.maxit is not None else 4 * n
     if maxit < 1:
         raise ValueError("maxit must be at least 1")
-
-    def report(reason, x, k, transfer, phi, psi, chi, anorm, acond, omega):
-        return SolveReport(x=x, reason=reason, iterations=k,
-                           transfer_iteration=transfer, phi=phi, psi=psi,
-                           chi=chi, anorm=anorm, acond=acond, omega=omega)
-
+    x = np.zeros(n, dtype=np.complex128)
     if cfg.check_structure:
         try:
             probe_symmetry(op)
         except StructureError:
-            return report(StopReason.NotStructured, np.zeros(n, dtype=np.complex128),
-                          0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+            return SolveReport(x, StopReason.NotStructured)
         except NonFiniteError:
-            return report(StopReason.NonFinite, np.zeros(n, dtype=np.complex128),
-                          0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+            return SolveReport(x, StopReason.NonFinite)
 
     # the Identity kind reduces to the plain process exactly; routing it
     # through the z/q recurrences would only reproduce the same run to
@@ -252,298 +528,49 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         m_solve = None
     else:
         m_solve = preconditioner.solve
-    x = np.zeros(n, dtype=np.complex128)
-    # the engine's scratch, lent to the preconditioned step as well;
-    # no vector is kept in it from one use to the next
+    # the vector side's scratch, lent to the preconditioned step as
+    # well; no vector is kept in it from one use to the next
     work = (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
     try:
         driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize, work)
     except PreconditionerBreakdownError:
-        return report(StopReason.PreconditionerBreakdown, x, 0, 0,
-                      norm2(b), 0.0, 0.0, 0.0, 1.0, 0.0)
+        return SolveReport(x, StopReason.PreconditionerBreakdown, phi=norm2(b))
     except NonFiniteError:
-        return report(StopReason.NonFinite, x, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        return SolveReport(x, StopReason.NonFinite)
     del b   # the process owns it now; no copy of b stays resident
-    beta1 = driver.beta1
-    if beta1 == 0.0:
-        return report(StopReason.BetaZero_xZero, x, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    if driver.beta1 == 0.0:
+        return SolveReport(x, StopReason.BetaZero_xZero)
 
-    # left-reflection registers; the sentinel c = -1 makes iteration 1
-    # come out as gamma_1 = alpha_1, delta_2 = sup_2
-    c1, s1 = -1.0, 0.0 + 0.0j
-    delta_next = 0.0 + 0.0j      # delta_{k} entering iteration k
-    eps_next = 0.0 + 0.0j        # epsilon_{k} entering iteration k
-    # right-reflection registers
-    gamma_r2 = 0.0 + 0.0j        # gamma_{k-2}^{(5)}
-    gamma_r1 = 0.0 + 0.0j        # gamma_{k-1}^{(4)}
-    theta_prev = 0.0 + 0.0j      # theta_{k-1}
-    theta2_km2 = 0.0 + 0.0j      # theta_{k-2}^{(2)}
-    eta_km2 = 0.0 + 0.0j
-    eta_km1 = 0.0 + 0.0j
-    tau2_km2 = 0.0 + 0.0j
-    tau2_km1 = 0.0 + 0.0j
-    tau_carry = beta1 + 0.0j     # tau_k entering iteration k
-    phi = beta1
-    # mu registers: mu_{k-1}, mu_{k-2}^{(2)}, mu_{k-3}^{(3)}, mu_{k-4}^{(3)}
-    mu_c = 0.0 + 0.0j
-    mu_l = 0.0 + 0.0j
-    mu_l2 = 0.0 + 0.0j
-    mu_l3 = 0.0 + 0.0j
-    chi_locked = 0.0
-    chi = 0.0
-    omega = 0.0
-    anorm = 0.0
-    gamma_min = math.inf
-    acond = 1.0
-    # every vector update below writes into x, these vectors or `work`,
-    # in the operation order of the expression in its comment, so the
-    # bits match the plain expression; only the phase transfer allocates
-    d_km1 = np.zeros(n, dtype=np.complex128)
-    d_km2 = np.zeros(n, dtype=np.complex128)
-    w_prev = None       # w_{k-1}^{(2)}, QLP phase
-    w_prev2 = None      # w_{k-2}^{(3)}, QLP phase
-    x2 = None           # x_{k-3}^{(2)}, QLP phase
-    in_qlp = False
-    transfer_iteration = 0
-    lanczos_done = False
-    reason: Optional[StopReason] = None
-    psi_lag = beta1
-    k = 0
-    s_a, s_b = work
-
-    def qlp_iterate():
-        # the QLP phase forms x_k only where it is read (x is None then)
-        return x2 + mu_l * w_prev2 + mu_c * w_prev
-
+    engine = _Engine(n, driver.beta1, cfg)
+    vectors = _Vectors(x, work)
+    reason = None
     try:
-        for k in range(1, maxit + 1):
-            u, alpha, sub, sup = driver.advance()
-            beta_k = driver.st.beta_curr
-            beta_next = driver.st.beta_next
-            if k == 1:
-                rho = math.hypot(abs(alpha), beta_next)
-            else:
-                rho = math.hypot(beta_k, abs(alpha), beta_next)
-            anorm_mid = max(anorm, rho)
-            if beta_next <= n * anorm_mid * EPS:
-                lanczos_done = True
-                sub = 0.0 + 0.0j
-                sup = 0.0 + 0.0j
-
-            # left reflections: finish column k, start column k+1
-            delta2 = c1 * delta_next + s1 * alpha
-            gamma_pre = np.conj(s1) * delta_next - c1 * alpha
-            eps_cur = eps_next
-            eps_next = s1 * sup
-            delta_nn = -c1 * sup
-            rot = sym_ortho(gamma_pre, sub)
-            gamma2 = rot.r
-            psi_lag = phi * math.hypot(abs(gamma_pre), abs(delta_nn))
-            tau2 = rot.c * tau_carry
-            tau_carry = np.conj(rot.s) * tau_carry
-            phi_prev = phi
-            phi = phi_prev * abs(rot.s)
-
-            # right reflections (scalars run in both phases)
-            rot2 = sym_ortho(gamma_r2, eps_cur)
-            c2, s2, gamma6 = rot2.c, rot2.s, rot2.r
-            theta2_km1 = c2 * theta_prev + s2 * delta2
-            delta3 = np.conj(s2) * theta_prev - c2 * delta2
-            eta_k = s2 * gamma2
-            gamma3 = -c2 * gamma2
-            rot3 = sym_ortho(gamma_r1, delta3)
-            c3, s3, gamma5 = rot3.c, rot3.s, rot3.r
-            theta_k = s3 * gamma3
-            gamma4 = -c3 * gamma3
-
-            # norm and condition estimates
-            anorm = anorm_mid
-            if k > 2:
-                anorm = max(anorm, abs(gamma6))
-                gamma_min = min(gamma_min, abs(gamma6))
-            if k > 1:
-                anorm = max(anorm, abs(gamma5))
-                gamma_min = min(gamma_min, abs(gamma5))
-            anorm = max(anorm, abs(gamma4))
-            gamma_min = min(gamma_min, abs(gamma4))
-            acond = anorm / gamma_min if gamma_min > 0.0 else math.inf
-
-            # noise scale for rank decisions; the n factor keeps the
-            # classification robust once beta terminates at roundoff level
-            tiny_rank = n * EPS * max(anorm, 1.0)
-            tiny_gamma4 = abs(gamma4) <= tiny_rank
-            # a deficient final column is the one signal phi cannot carry:
-            # the terminal rotation has |s| = 0 for either rank, so the
-            # revealed diagonal decides; its roundoff level after an
-            # exhausted basis sits well above n*eps*anorm
-            rank_deficient_term = lanczos_done and abs(gamma4) <= max(
-                tiny_rank, math.sqrt(EPS) * max(anorm, 1.0))
-            if rank_deficient_term or abs(gamma4) < EPS:
-                # a collapsed revealed diagonal means the rotation's
-                # residual reduction was noise; undo the phi update
-                phi = phi_prev
-
-            transferred_now = False
-            if not in_qlp and (cfg.trancond <= 1.0 or acond > cfg.trancond):
-                # division-free phase transfer: reconstruct the three
-                # live W columns from d-vectors, then rebase x
-                u_num = u - delta2 * d_km1 - eps_cur * d_km2
-                w4_km2 = gamma6 * d_km2 + theta2_km1 * d_km1 + s2 * u_num
-                w3_km1 = gamma5 * d_km1 - (c2 * s3) * u_num
-                w2_k = (c2 * c3) * u_num
-                w_mid = np.conj(s3) * w3_km1 - c3 * w2_k          # w_k
-                w_km2_v3 = c2 * w4_km2 + s2 * w_mid               # w_{k-2}^{(3)}
-                w_km1_v2 = c3 * w3_km1 + s3 * w2_k                # w_{k-1}^{(2)}
-                x2 = x - mu_l * w_km2_v3 - mu_c * w_km1_v2
-                x = d_km1 = d_km2 = None
-                in_qlp = True
-                transferred_now = True
-                transfer_iteration = k
-
-            # mu recurrences (final values lag two iterations)
-            mu_km2 = 0.0 + 0.0j
-            if k > 2:
-                num = tau2_km2 - eta_km2 * mu_l3 - theta2_km2 * mu_l2
-                mu_km2 = num / gamma6 if gamma6 != 0.0 else 0.0 + 0.0j
-            mu_km1 = 0.0 + 0.0j
-            if k > 1:
-                num = tau2_km1 - eta_km1 * mu_l2 - theta2_km1 * mu_km2
-                mu_km1 = num / gamma5 if gamma5 != 0.0 else 0.0 + 0.0j
-            if tiny_gamma4 or rank_deficient_term:
-                mu_k = 0.0 + 0.0j
-            else:
-                mu_k = (tau2 - eta_k * mu_km2 - theta_k * mu_km1) / gamma4
-            if k > 2:
-                chi_locked = math.hypot(chi_locked, abs(mu_km2))
-            chi_full = math.hypot(chi_locked, abs(mu_km1), abs(mu_k))
-
-            xnorm_stop = False
-            if not in_qlp:
-                if chi_full > cfg.maxxnorm:
-                    xnorm_stop = True
-                elif gamma2 != 0.0 and not rank_deficient_term:
-                    # d_k = (u - delta2 * d_km1 - eps_cur * d_km2) / gamma2,
-                    # written over d_{k-2}
-                    np.subtract(u, np.multiply(delta2, d_km1, out=s_a), out=s_a)
-                    np.multiply(eps_cur, d_km2, out=d_km2)
-                    np.subtract(s_a, d_km2, out=d_km2)
-                    d_k = np.divide(d_km2, gamma2, out=d_km2)
-                    _add_scaled(x, tau2, d_k, s_a)                # x + tau2 * d_k
-                    d_km2 = d_km1
-                    d_km1 = d_k
-                chi = chi_full if chi_full <= cfg.maxxnorm else chi
-            else:
-                if not transferred_now:
-                    # w_k = conj(s2) * w_prev2 - c2 * u; then
-                    # w4_km2 = c2 * w_prev2 + s2 * u over w_{k-2}^{(3)}
-                    w_mid = _comb(np.conj(s2), w_prev2, c2, u, s_a, s_b, np.subtract)
-                    w4_km2 = _comb(c2, w_prev2, s2, u, w_prev2, s_b)
-                if k > 2:
-                    _add_scaled(x2, mu_km2, w4_km2, s_b)          # x2 + mu_km2 * w4_km2
-                if not transferred_now:
-                    # w3_km1 = c3 * w_prev + s3 * w_k over w4_km2, whose
-                    # last use was above; w2_k = conj(s3) * w_prev - c3 * w_k
-                    # over w_{k-1}^{(2)}
-                    w3_km1 = _comb(c3, w_prev, s3, w_mid, w4_km2, s_b)
-                    w2_k = _comb(np.conj(s3), w_prev, c3, w_mid, w_prev, w_mid, np.subtract)
-                if chi_full <= cfg.maxxnorm:
-                    chi = chi_full
-                else:
-                    # drop trailing components until the length bound holds
-                    mu_k = 0.0 + 0.0j
-                    chi_part = math.hypot(chi_locked, abs(mu_km1))
-                    if chi_part <= cfg.maxxnorm:
-                        x = x2 + mu_km1 * w3_km1
-                        chi = chi_part
-                    else:
-                        mu_km1 = 0.0 + 0.0j
-                        x = x2.copy()
-                        chi = chi_locked
-                    xnorm_stop = True
-                w_prev2 = w3_km1
-                w_prev = w2_k
-
-            omega = math.hypot(omega, abs(tau2))
-
-            mu_l3 = mu_l2
-            mu_l2 = mu_km2
-            mu_l = mu_km1
-            mu_c = mu_k
-            tau2_km2 = tau2_km1
-            tau2_km1 = tau2
-            eta_km2 = eta_km1
-            eta_km1 = eta_k
-            theta2_km2 = theta2_km1
-            theta_prev = theta_k
-            gamma_r2 = gamma5
-            gamma_r1 = gamma4
-            c1, s1 = rot.c, rot.s
-            delta_next = delta_nn
-
+        for _ in range(maxit):
+            u, *column = driver.advance()
+            engine.step(*column)
+            vectors.update(u, engine)
             if monitor is not None:
-                monitor(MonitorRecord(k=k, alpha=alpha, sub=sub, sup=sup,
-                                      phi=phi, psi=psi_lag, chi=chi,
-                                      anorm=anorm, acond=acond,
-                                      gamma2=gamma2, gamma4=gamma4,
-                                      x=qlp_iterate() if x is None else x.copy()))
-
-            if lanczos_done and k == 1:
-                reason = StopReason.Beta2Zero_OneStep
-                break
-            if phi / (anorm * chi + beta1) <= rtol:
-                reason = StopReason.Converged_Rnorm
-                break
-            if phi_prev > 0.0 and psi_lag <= rtol * anorm * phi_prev:
-                reason = StopReason.Converged_ArNorm
-                break
-            if lanczos_done:
-                if rank_deficient_term:
-                    reason = StopReason.Converged_ArNorm
-                elif phi <= rtol * (anorm * chi + beta1):
-                    reason = StopReason.Converged_Rnorm
-                else:
-                    reason = StopReason.LanczosExhausted
-                break
-            if abs(gamma4) < EPS or (not in_qlp and gamma2 == 0.0):
-                # rank-revealed diagonal collapsed (the d-recurrence
-                # would be undefined too); phi was already reverted
-                reason = StopReason.GammaZero
-                break
-            if acond >= max(cfg.maxcond, 1.0 / EPS):
-                reason = StopReason.CondExceeded
-                break
-            if xnorm_stop:
-                reason = StopReason.XnormExceeded
+                monitor(engine.record(vectors.iterate(engine, copy=True)))
+            reason = engine.verdict()
+            if reason is not None:
                 break
         else:
             reason = StopReason.MaxIt
-    except (PreconditionerBreakdownError, NonFiniteError) as exc:
-        # the iterate of the last iteration the engine finished
-        reason = (StopReason.NonFinite if isinstance(exc, NonFiniteError)
-                  else StopReason.PreconditionerBreakdown)
-        return report(reason, qlp_iterate() if x is None else x, k, transfer_iteration,
-                      phi, psi_lag, chi, anorm, acond, omega)
-    if x is None:
-        x = qlp_iterate()
-
-    psi_final = 0.0
-    if not lanczos_done and driver.can_advance():
-        # one look-ahead process step turns the lagged estimate into the
-        # one matching the returned iterate
-        try:
-            _, alpha_pk, _, sup_pk = driver.advance()
-            gamma_pk = np.conj(s1) * delta_next - c1 * alpha_pk
-            delta_pk = -c1 * sup_pk
-            psi_final = phi * math.hypot(abs(gamma_pk), abs(delta_pk))
-        except PreconditionerBreakdownError:
-            psi_final = psi_lag
-        except NonFiniteError:
-            reason = StopReason.NonFinite
-            psi_final = psi_lag
-    if (reason is StopReason.GammaZero and phi > 0.0
-            and psi_final <= rtol * anorm * phi):
+        psi = 0.0
+        if not engine.lanczos_done:
+            # one look-ahead process step turns the lagged estimate into
+            # the one matching the returned iterate
+            _, alpha, _, sup, _, _ = driver.advance()
+            psi = engine.lookahead(alpha, sup)[0]
+    except NonFiniteError:
+        reason, psi = StopReason.NonFinite, engine.psi
+    except PreconditionerBreakdownError:
+        # a breakdown in the look-ahead step keeps the loop's reason
+        reason, psi = reason or StopReason.PreconditionerBreakdown, engine.psi
+    if reason is StopReason.GammaZero and engine.ar_converged(psi, engine.phi):
         # the collapse left an iterate that already passes the A*r test;
         # the in-loop check lags one step and loses that race
         reason = StopReason.Converged_ArNorm
-    return report(reason, x, k, transfer_iteration, phi, psi_final, chi,
-                  anorm, acond, omega)
+    return SolveReport(x=vectors.iterate(engine), reason=reason, iterations=engine.k,
+                       transfer_iteration=engine.transfer_iteration, phi=engine.phi, psi=psi,
+                       chi=engine.chi, anorm=engine.anorm, acond=engine.acond, omega=engine.omega)

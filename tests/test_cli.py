@@ -167,6 +167,19 @@ def test_solve_bad_rhs_entry_exits_input(tmp_path, capsys, entry):
     assert repr(entry) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precond", [[], ["--precond", "jacobi"]])
+@pytest.mark.parametrize("entry", ["1 1 nan", "1 1 inf", "1 1 abc", "x 1 1.0"])
+def test_solve_bad_matrix_entry_exits_input(tmp_path, capsys, entry, precond):
+    matrix = tmp_path / "a.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                      f"3 3 3\n{entry}\n2 2 2.0\n3 3 3.0\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n1\n1\n")
+    code = main(["solve", "--matrix", str(matrix), "--rhs", str(rhs), *precond])
+    assert code == EXIT_INPUT
+    assert repr(entry) in capsys.readouterr().err
+
+
 def test_solve_rhs_file(tmp_path, capsys):
     a = np.diag([1.0, 2.0, 4.0]).astype(np.complex128)
     path = _matrix_file(tmp_path, a, "symmetric")

@@ -1,0 +1,63 @@
+"""The scalar engine on its own: fed the entries of a tridiagonal T_k,
+with no operator and no vector, it must agree with a dense QLP and a
+dense least-squares solve of T_k at every k."""
+
+import numpy as np
+import pytest
+
+from symkrylov.core import EPS
+from symkrylov.oracle import dense_qlp
+from symkrylov.solver import SolverConfig, _Engine
+
+K = 12
+
+
+def tridiagonal(kind, seed):
+    """beta_1..beta_{K+1} and, per column k, (alpha_k, sub_k, sup_k)
+    as the driver hands them over, with the (K+1) x K matrix they form:
+    sub_k below alpha_k, sup_k to the right of alpha_k."""
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.5, 1.5, size=K + 1)
+    if kind == "hermitian":
+        alpha = rng.standard_normal(K) + 0j
+    elif kind == "complex symmetric":
+        alpha = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    else:
+        alpha = np.zeros(K, dtype=np.complex128)
+    sub = -beta[1:] if kind == "skew" else beta[1:]
+    t = np.zeros((K + 1, K), dtype=np.complex128)
+    for j in range(K):
+        t[j, j] = alpha[j]
+        t[j + 1, j] = sub[j]
+        if j + 1 < K:
+            t[j, j + 1] = beta[j + 1]
+    columns = [(complex(alpha[j]), complex(sub[j]), complex(beta[j + 1]))
+               for j in range(K)]
+    return beta, columns, t
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hermitian", "complex symmetric", "skew"])
+def test_engine_matches_dense_qlp_and_least_squares(kind, seed):
+    beta, columns, t = tridiagonal(kind, seed)
+    # backward stable reflections: each entry of the revealed diagonal
+    # is off by at most a modest multiple of eps * ||T||
+    bound = 16 * K * EPS * np.linalg.norm(t, 2)
+    engine = _Engine(K + 1, beta[0], SolverConfig())
+    final = []          # gamma_1^(6), gamma_2^(6), ... as they lock in
+    for k in range(1, K + 1):
+        engine.step(*columns[k - 1], beta[k - 1], beta[k])
+        assert not engine.lanczos_done
+        if k > 2:
+            final.append(engine.gamma6)
+        revealed = np.abs(final + ([engine.gamma5] if k > 1 else []) + [engine.gamma4])
+
+        t_k = t[:k + 1, :k]
+        _, low, _ = dense_qlp(t_k)
+        np.testing.assert_allclose(revealed, np.abs(np.diag(low)), rtol=0, atol=bound)
+
+        rhs = np.zeros(k + 1, dtype=np.complex128)
+        rhs[0] = beta[0]
+        y = np.linalg.lstsq(t_k, rhs, rcond=None)[0]
+        assert engine.phi == pytest.approx(np.linalg.norm(rhs - t_k @ y), rel=1e-12)
+        assert engine.chi == pytest.approx(np.linalg.norm(y), rel=1e-12)

@@ -235,7 +235,7 @@ def test_non_finite_operator_output_stops(variant, bad, preconditioned, trancond
         assert StopReason.NonFinite not in CONVERGED_REASONS
         assert np.isfinite(r.x).all()
         if bad_call == 9:
-            assert r.iterations == 5
+            assert r.iterations == records[-1].k
             # the last iterate the engine finished, bit for bit
             np.testing.assert_array_equal(r.x, records[-1].x)
         else:
