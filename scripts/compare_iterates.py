@@ -10,8 +10,9 @@ outputs are compared bit for bit: every SolveReport field, the
 returned x, and every field of every monitor record.  One line per
 problem reports `same` or the first output whose bits differ, followed
 for a solve by whether its `reason` and `iterations` agree and by the
-relative gap ||x - x_REV|| / ||x_REV||, so a change that moves roundoff
-only can show it; the exit status is 1 when any output differs.
+relative gap ||x - x_REV|| / ||x_REV||, and by whether any output that
+is not an array differs, so a change that moves roundoff only can show
+it; the exit status is 1 when any output differs.
 
 The set:
   * the four generated suites (cs-h, cs-m, ss, sh) at seeds 1-3, two
@@ -22,7 +23,9 @@ The set:
     each of the nine reasons the sets above do not reach (stop_runs),
     with and without a monitor.
 Before the summary line, one line tallies the stop reasons of the
-working tree's solves.
+working tree's solves and one counts the problems that differ in arrays
+only, with their largest x gap, against those that differ in a
+non-array output.
 """
 
 from __future__ import annotations
@@ -224,17 +227,35 @@ def first_difference(a, b):
     return None
 
 
-def how_it_differs(a, b):
-    """Whether reason and iterations agree, and the relative x gap, for
-    two solves' outputs; empty when either one raised."""
+def x_gap(a, b):
+    """||x - x_REV|| / ||x_REV|| for two solves' outputs, or None when
+    either one raised."""
     a, b = dict(a), dict(b)
     if "x" not in a or "x" not in b:
-        return ""
+        return None
     x, x_rev = (np.frombuffer(v[3], dtype=v[1]).reshape(v[2]) for v in (a["x"], b["x"]))
-    gap = np.linalg.norm(x - x_rev) / np.linalg.norm(x_rev)
+    return float(np.linalg.norm(x - x_rev) / np.linalg.norm(x_rev))
+
+
+def scalar_differs(a, b):
+    """Whether an output that is not an array differs (or is missing on
+    one side)."""
+    a, b = dict(a), dict(b)
+    return any(a.get(name) != b.get(name) for name in set(a) | set(b)
+               if "array" not in (a.get(name, ("",))[0], b.get(name, ("",))[0]))
+
+
+def how_it_differs(a, b, scalar, gap):
+    """Whether reason and iterations agree, the relative x gap and
+    whether any non-array output differs (scalar), for two solves'
+    outputs; only the last when either one raised (gap is None)."""
+    scalars = "a non-array output differs" if scalar else "arrays only"
+    if gap is None:
+        return f"; {scalars}"
+    a, b = dict(a), dict(b)
     agree = {key: "same" if a[key] == b[key] else "differ" for key in ("reason", "iterations")}
     return (f"; reason {agree['reason']}, iterations {agree['iterations']}, "
-            f"x gap {gap:.2e}")
+            f"x gap {gap:.2e}; {scalars}")
 
 
 def run_tree(tree, out_path):
@@ -265,8 +286,8 @@ def main(argv=None) -> int:
         ours, ours_s = run_tree(ROOT, os.path.join(tmp, "ours.pkl"))
         theirs, theirs_s = run_tree(rev_tree, os.path.join(tmp, "theirs.pkl"))
 
-    differ = 0
-    compared = 0
+    differ = compared = array_only = 0
+    max_gap = 0.0
     for pid in sorted(set(ours) | set(theirs)):
         if pid not in ours or pid not in theirs:
             print(f"{pid}: only in {'the working tree' if pid in ours else args.rev}")
@@ -276,12 +297,18 @@ def main(argv=None) -> int:
         diff = first_difference(ours[pid], theirs[pid])
         if diff is None:
             print(f"{pid}: same")
-        else:
-            differ += 1
-            print(f"{pid}: differs at {diff}{how_it_differs(ours[pid], theirs[pid])}")
+            continue
+        differ += 1
+        scalar, gap = scalar_differs(ours[pid], theirs[pid]), x_gap(ours[pid], theirs[pid])
+        print(f"{pid}: differs at {diff}{how_it_differs(ours[pid], theirs[pid], scalar, gap)}")
+        if not scalar:
+            array_only += 1
+            max_gap = max(max_gap, gap or 0.0)
     reasons = Counter(dict(out)["reason"][1] for out in ours.values() if "reason" in dict(out))
     print("stop reasons (working tree): "
           + ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items())))
+    print(f"{array_only} problems differ in arrays only (max x gap {max_gap:.2e}), "
+          f"{differ - array_only} in a non-array output")
     print(f"{len(ours)} problems, {compared} outputs compared, {differ} problems differ "
           f"(working tree {ours_s:.1f} s, {args.rev} {theirs_s:.1f} s)")
     return 1 if differ else 0

@@ -56,7 +56,28 @@ def inner_h(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def norm2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+    """The 2-norm, safe where the sum of squares under- or overflows.
+
+    A vector whose norm comes out 0 or Inf but which holds a nonzero
+    finite entry is scaled by the exact power of two of its largest
+    magnitude first, and the norm unscaled after, so norm2(2**k * x) is
+    2**k * norm2(x) bit for bit wherever no entry leaves the normal
+    range.  Every other vector takes the plain path.
+    """
+    nrm = float(np.linalg.norm(x))
+    if nrm == 0.0 or nrm == math.inf:
+        big = float(np.max(np.abs(x), initial=0.0))
+        if 0.0 < big < math.inf:
+            e = math.frexp(big)[1]
+            x = np.asarray(x)
+            if np.iscomplexobj(x):
+                scaled = np.empty(x.shape, dtype=np.complex128)
+                scaled.real = np.ldexp(x.real, -e)
+                scaled.imag = np.ldexp(x.imag, -e)
+            else:
+                scaled = np.ldexp(x, -e)
+            nrm = math.ldexp(float(np.linalg.norm(scaled)), e)
+    return nrm
 
 
 @dataclass

@@ -18,9 +18,20 @@ runs here in three parts:
   stable on singular and ill-conditioned problems, the limit point is
   the minimum-length solution, and x is formed only where it is read.
 
-The transfer is division free: the last two d-vectors and the current
-basis vector determine the three live W columns without ever dividing
-by the (possibly vanishing) rotated diagonal.
+The vector side keeps every vector of a solve in one block of m + 6
+rows, m = `_WINDOW` = 3: two three-row slots that take turns as the
+base, with a window of m rows between them for the basis vectors u.
+The MINRES phase keeps x and the two d-vectors in the first slot and
+updates them in place.  In the QLP phase the live vectors (x_{k-3}^{(2)}
+and two W columns) are held as a 3 x (m + 6) coefficient matrix over
+the block's rows.  Each iteration maps it by a 3 x 4 matrix made of the
+right reflections and mu_{k-2}, at O(m) scalar cost.  Once the window
+is full, one matrix product with the base slot and the window writes
+the three vectors into the idle slot, which becomes the base.  The
+phase transfer is the first of these maps.  It is division free: the
+last two d-vectors and the current basis vector determine the three
+live W columns without ever dividing by the (possibly vanishing)
+rotated diagonal.
 
 `solve` validates its input, probes the structure, and then loops:
 driver step, engine step, vector update, monitor, stop verdict.
@@ -142,13 +153,11 @@ class _Driver:
 
     Hides which process runs underneath: the class's row of
     `tri.STRUCTURES`, preconditioning, and where the shift lands.  It
-    takes b over (a preconditioned process reuses its storage) and
-    shares the solve's two scratch vectors with the preconditioned step.
+    takes b over (a preconditioned process reuses its storage).
     """
 
     def __init__(self, op: LinearOperator, b: np.ndarray, shift: complex,
-                 m_solve: Optional[Callable], reorthogonalize: bool,
-                 work: Tuple[np.ndarray, np.ndarray]):
+                 m_solve: Optional[Callable], reorthogonalize: bool):
         self.op = op
         self.row = tri.STRUCTURES[op.symmetry]
         self.shift = complex(shift)
@@ -156,11 +165,9 @@ class _Driver:
         # move T's diagonal by rot*shift, which is -shift for a skew row
         self.process_shift = self.shift if self.row.conj else 0.0
         self.m_solve = m_solve
-        self.work = work
         if m_solve is not None:
             self.step = tri.precond_step
             self.st = tri.precond_init(b, m_solve, self.row)
-            self.u = np.empty_like(b)
         else:
             # looked up now, not bound at import: a wrapper installed over
             # the module attribute then sees every step
@@ -170,19 +177,21 @@ class _Driver:
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
 
-    def advance(self):
+    def advance(self, out: np.ndarray, work: Tuple[np.ndarray, np.ndarray]):
         """One process step; returns (u, alpha, sub, sup, beta_k,
         beta_next): the solution-basis vector of this iteration, the
         tridiagonal entries for the engine and the two betas for its
-        norm estimate.  u is valid until the next step.
+        norm estimate.  u is written into out, except that a plain
+        process without conj hands out its basis vector v_k itself;
+        work is scratch for the preconditioned step.
         Raises NonFiniteError when the step yields a non-finite alpha
         or beta, before the engine sees either."""
         row, st = self.row, self.st
         if self.m_solve is not None:
-            u = np.divide(st.q_curr, st.beta_next, out=self.u)
-            st = self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, self.work)
+            u = np.divide(st.q_curr, st.beta_next, out=out)
+            st = self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, work)
         else:
-            u = np.conj(st.v_curr) if row.conj else st.v_curr
+            u = np.conj(st.v_curr, out=out) if row.conj else st.v_curr
             st = self.st = self.step(self.op, st, self.process_shift, u)
         if not (cmath.isfinite(st.alpha) and math.isfinite(st.beta_next)):
             raise NonFiniteError(f"step {st.k}: alpha = {st.alpha!r}, "
@@ -195,19 +204,6 @@ class _Driver:
         else:
             alpha, sub = st.alpha - row.rotate(self.shift), bn
         return u, alpha, sub, bn, st.beta_curr, st.beta_next
-
-
-def _comb(a, x, b, y, out, tmp, op=np.add):
-    """out = a*x + b*y (op=np.subtract: a*x - b*y), evaluated in the
-    order of that expression.  out may alias x and tmp may alias x or y;
-    out must not alias y."""
-    np.multiply(a, x, out=out)
-    return op(out, np.multiply(b, y, out=tmp), out=out)
-
-
-def _add_scaled(y, a, x, tmp):
-    """y = y + a*x in place, in the order of that expression."""
-    return np.add(y, np.multiply(a, x, out=tmp), out=y)
 
 
 def _mu(tau, eta, mu_a, theta, mu_b, gamma):
@@ -404,81 +400,132 @@ class _Engine:
                              self.acond, self.gamma2, self.gamma4, x)
 
 
-class _Vectors:
-    """The vector side: x and the d-vectors in the MINRES phase;
-    x_{k-3}^{(2)} and the two live W-vectors in the QLP phase, where x
-    is formed only where it is read (x is None then, unless the length
-    bound truncated it).
+# basis vectors u the QLP phase holds back between two products with the
+# block; each row is one more resident vector, and 3 kept peak memory
+# where 4 did not, at no cost in time against 2 (see ROADMAP item 3)
+_WINDOW = 3
 
-    Every update writes into x, these vectors or `work`, in the
-    operation order of the expression in its comment, so the bits match
-    the plain expression; only the phase transfer allocates.
+
+class _Vectors:
+    """The vector side.  Every vector it keeps is a row of one block of
+    6 + m zero-filled rows, m = _WINDOW: rows 0-2 (slot A) and rows
+    m+3..m+5 (slot B) are two slots that take turns as the base, and
+    rows 3..m+2 are the window.  The slot that is not the base is idle:
+    lend() hands two of its rows out as scratch, together with the row
+    the next u goes to.
+
+    MINRES phase: x, d_{k-1} and d_{k-2} are the rows of slot A and
+    advance in place, in the operation order of the expression in each
+    comment, so the bits match the plain expression; u goes to row 3.
+
+    QLP phase: the three live vectors x_{k-3}^{(2)}, w_{k-2}^{(3)} and
+    w_{k-1}^{(2)} are not stored.  `coef` (3 x (6+m)) holds them as
+    combinations of the block's rows: the base slot and the u's of the
+    window so far.  The window fills outwards from the base, so the rows
+    in use are one range [lo, hi), and each iteration maps `coef` by a
+    3 x 4 matrix G_k on (the three live vectors, u_k); the phase
+    transfer is the first such map, on (x, d_{k-2}, d_{k-1}, u_k).  When
+    the window is full, one matrix product writes the three vectors into
+    the idle slot, which becomes the base: [A; window] -> B and
+    [window; B] -> A, each operand contiguous.  x is formed, by one
+    product over the rows in use, only where it is read.
     """
 
-    __slots__ = ("x", "d_km1", "d_km2", "x2", "w_prev", "w_prev2", "work")
+    __slots__ = ("block", "rows", "lo", "hi", "r", "km1", "km2", "coef")
 
-    def __init__(self, x: np.ndarray, work: Tuple[np.ndarray, np.ndarray]):
-        self.x = x
-        self.d_km1 = np.zeros_like(x)
-        self.d_km2 = np.zeros_like(x)
-        # x_{k-3}^{(2)}, w_{k-1}^{(2)} and w_{k-2}^{(3)}: QLP phase
-        self.x2 = self.w_prev = self.w_prev2 = None
-        self.work = work
+    def __init__(self, n: int):
+        self.block = np.zeros((_WINDOW + 6, n), dtype=np.complex128)
+        self.rows = list(self.block)      # one view per row, made once
+        # the rows in use; lo is 0 exactly while slot A is the base
+        self.lo, self.hi = 0, 3
+        # the rows of d_{k-1} and d_{k-2}; x is row 0 (MINRES phase)
+        self.km1, self.km2 = 1, 2
+        self.coef = None
+
+    def lend(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """(the row for the next u, two rows of the idle slot as scratch)."""
+        idle = _WINDOW + 3 if self.lo == 0 else 0
+        self.r = self.hi if self.lo == 0 else self.lo - 1
+        return self.rows[self.r], (self.rows[idle], self.rows[idle + 1])
 
     def update(self, u: np.ndarray, e: _Engine) -> None:
         """Apply iteration e.k, whose solution-basis vector is u."""
-        s_a, s_b = self.work
         if not e.qlp:
             if not e.xnorm_stop and e.gamma2 != 0.0 and not e.rank_deficient:
+                x, d_km1, d_km2 = self.rows[0], self.rows[self.km1], self.rows[self.km2]
+                s_a = self.rows[_WINDOW + 3]       # scratch in the idle slot B
                 # d_k = (u - delta2 * d_km1 - eps_k * d_km2) / gamma2,
-                # written over d_{k-2}
-                np.subtract(u, np.multiply(e.delta2, self.d_km1, out=s_a), out=s_a)
-                np.multiply(e.eps_k, self.d_km2, out=self.d_km2)
-                np.subtract(s_a, self.d_km2, out=self.d_km2)
-                d_k = np.divide(self.d_km2, e.gamma2, out=self.d_km2)
-                _add_scaled(self.x, e.tau2, d_k, s_a)                 # x + tau2 * d_k
-                self.d_km2, self.d_km1 = self.d_km1, d_k
+                # written over d_{k-2}; then x + tau2 * d_k
+                np.subtract(u, np.multiply(e.delta2, d_km1, out=s_a), out=s_a)
+                np.multiply(e.eps_k, d_km2, out=d_km2)
+                np.subtract(s_a, d_km2, out=d_km2)
+                np.divide(d_km2, e.gamma2, out=d_km2)
+                np.add(x, np.multiply(e.tau2, d_km2, out=s_a), out=x)
+                self.km1, self.km2 = self.km2, self.km1
             return
+        if u is not self.rows[self.r]:
+            np.copyto(self.rows[self.r], u)
         if e.transfer:
-            w4_km2, w3_km1, w2_k = self._transfer(u, e)
+            g = _transfer_map(e)
+            self.coef = np.zeros((3, self.block.shape[0]), dtype=np.complex128)
+            self.coef[(0, 1, 2), (0, self.km2, self.km1)] = 1.0
         else:
-            # w_k = conj(s2) * w_prev2 - c2 * u; then
-            # w4_km2 = c2 * w_prev2 + s2 * u over w_{k-2}^{(3)}
-            w_mid = _comb(np.conj(e.s2), self.w_prev2, e.c2, u, s_a, s_b, np.subtract)
-            w4_km2 = _comb(e.c2, self.w_prev2, e.s2, u, self.w_prev2, s_b)
-        if e.k > 2:
-            _add_scaled(self.x2, e.mu_km2, w4_km2, s_b)               # x2 + mu_km2 * w4_km2
-        if not e.transfer:
-            # w3_km1 = c3 * w_prev + s3 * w_k over w4_km2, whose last use
-            # was above; w2_k = conj(s3) * w_prev - c3 * w_k over w_{k-1}^{(2)}
-            w3_km1 = _comb(e.c3, self.w_prev, e.s3, w_mid, w4_km2, s_b)
-            w2_k = _comb(np.conj(e.s3), self.w_prev, e.c3, w_mid, self.w_prev, w_mid, np.subtract)
-        if e.xnorm_stop:
+            # w_k = conj(s2) * w_prev2 - c2 * u and
+            # w4_km2 = c2 * w_prev2 + s2 * u; then x2 + mu_km2 * w4_km2,
+            # w3_km1 = c3 * w_prev + s3 * w_k, w2_k = conj(s3) * w_prev - c3 * w_k
+            c2, s2, c3, s3, mu = e.c2, e.s2, e.c3, e.s3, e.mu_km2
+            g = np.array([[1.0, mu * c2, 0.0, mu * s2],
+                          [0.0, s3 * np.conj(s2), c3, -s3 * c2],
+                          [0.0, -c3 * np.conj(s2), np.conj(s3), c3 * c2]])
+        r, lo, hi, coef = self.r, self.lo, self.hi, self.coef
+        coef[:, lo:hi] = g[:, :3] @ coef[:, lo:hi]
+        coef[:, r] = g[:, 3]
+        self.lo, self.hi = min(lo, r), max(hi, r + 1)
+        if self.hi - self.lo == _WINDOW + 3:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Form the three live vectors in the idle slot, which becomes
+        the base."""
+        lo, hi = self.lo, self.hi
+        dst = _WINDOW + 3 if lo == 0 else 0
+        np.matmul(self.coef[:, lo:hi], self.block[lo:hi], out=self.block[dst:dst + 3])
+        self.coef[:, lo:hi] = 0.0
+        self.coef[(0, 1, 2), (dst, dst + 1, dst + 2)] = 1.0
+        self.lo, self.hi = dst, dst + 3
+
+    def iterate(self, e: _Engine) -> np.ndarray:
+        """x_k as a fresh array; reading it changes no state."""
+        if self.coef is None:
+            return self.rows[0].copy()
+        c = self.coef[:, self.lo:self.hi]
+        if not e.xnorm_stop:
+            cx = c[0] + e.mu_km1 * c[1] + e.mu_k * c[2]
+        else:
             # the length bound dropped mu_k, and mu_{k-1} unless keep_km1
-            self.x = self.x2 + e.mu_km1 * w3_km1 if e.keep_km1 else self.x2.copy()
-        self.w_prev2, self.w_prev = w3_km1, w2_k
+            cx = c[0] + e.mu_km1 * c[1] if e.keep_km1 else c[0]
+        return cx @ self.block[self.lo:self.hi]
 
-    def _transfer(self, u: np.ndarray, e: _Engine):
-        """Division-free phase transfer: reconstruct the three live W
-        columns (w4_km2, w3_km1, w2_k) from the d-vectors, then rebase x
-        to x_{k-3}^{(2)}."""
-        d_km1, d_km2 = self.d_km1, self.d_km2
-        u_num = u - e.delta2 * d_km1 - e.eps_k * d_km2
-        w4_km2 = e.gamma6 * d_km2 + e.theta2_km1 * d_km1 + e.s2 * u_num
-        w3_km1 = e.gamma5 * d_km1 - (e.c2 * e.s3) * u_num
-        w2_k = (e.c2 * e.c3) * u_num
-        w_mid = np.conj(e.s3) * w3_km1 - e.c3 * w2_k                   # w_k
-        w_km2_v3 = e.c2 * w4_km2 + e.s2 * w_mid                        # w_{k-2}^{(3)}
-        w_km1_v2 = e.c3 * w3_km1 + e.s3 * w2_k                         # w_{k-1}^{(2)}
-        self.x2 = self.x - e.mu_l * w_km2_v3 - e.mu_c * w_km1_v2
-        self.x = self.d_km1 = self.d_km2 = None
-        return w4_km2, w3_km1, w2_k
 
-    def iterate(self, e: _Engine, copy: bool = False) -> np.ndarray:
-        """x_k; a fresh array when copy is set or when it is formed."""
-        if self.x is None:
-            return self.x2 + e.mu_km1 * self.w_prev2 + e.mu_k * self.w_prev
-        return self.x.copy() if copy else self.x
+def _transfer_map(e: _Engine) -> np.ndarray:
+    """The division-free phase transfer as G_k on (x, d_{k-2}, d_{k-1},
+    u_k): the three live W columns (w4_km2, w3_km1, w2_k) without
+    dividing by the rotated diagonal, x rebased to x_{k-3}^{(2)} and
+    then iteration k's x2 update."""
+    u_num = np.array([0.0, -e.eps_k, -e.delta2, 1.0])        # u - delta2 d_km1 - eps_k d_km2
+    w4_km2 = np.array([0.0, e.gamma6, e.theta2_km1, 0.0]) + e.s2 * u_num
+    w3_km1 = np.array([0.0, 0.0, e.gamma5, 0.0]) - (e.c2 * e.s3) * u_num
+    w2_k = (e.c2 * e.c3) * u_num
+    w_k = np.conj(e.s3) * w3_km1 - e.c3 * w2_k
+    x2 = (np.array([1.0, 0.0, 0.0, 0.0])
+          - e.mu_l * (e.c2 * w4_km2 + e.s2 * w_k)                # w_{k-2}^{(3)}
+          - e.mu_c * (e.c3 * w3_km1 + e.s3 * w2_k))             # w_{k-1}^{(2)}
+    return np.array([x2 + e.mu_km2 * w4_km2, w3_km1, w2_k])
+
+
+def _stopped(n: int, reason: StopReason, **fields) -> SolveReport:
+    """The report of a solve that stops before its first iteration."""
+    return SolveReport(np.zeros(n, dtype=np.complex128), reason, **fields)
 
 
 def _as_operator(A, variant) -> LinearOperator:
@@ -512,14 +559,13 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     maxit = cfg.maxit if cfg.maxit is not None else 4 * n
     if maxit < 1:
         raise ValueError("maxit must be at least 1")
-    x = np.zeros(n, dtype=np.complex128)
     if cfg.check_structure:
         try:
             probe_symmetry(op)
         except StructureError:
-            return SolveReport(x, StopReason.NotStructured)
+            return _stopped(n, StopReason.NotStructured)
         except NonFiniteError:
-            return SolveReport(x, StopReason.NonFinite)
+            return _stopped(n, StopReason.NonFinite)
 
     # the Identity kind reduces to the plain process exactly; routing it
     # through the z/q recurrences would only reproduce the same run to
@@ -528,29 +574,26 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         m_solve = None
     else:
         m_solve = preconditioner.solve
-    # the vector side's scratch, lent to the preconditioned step as
-    # well; no vector is kept in it from one use to the next
-    work = (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
+    vectors = _Vectors(n)
     try:
-        driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize, work)
+        driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize)
     except PreconditionerBreakdownError:
-        return SolveReport(x, StopReason.PreconditionerBreakdown, phi=norm2(b))
+        return _stopped(n, StopReason.PreconditionerBreakdown, phi=norm2(b))
     except NonFiniteError:
-        return SolveReport(x, StopReason.NonFinite)
+        return _stopped(n, StopReason.NonFinite)
     del b   # the process owns it now; no copy of b stays resident
     if driver.beta1 == 0.0:
-        return SolveReport(x, StopReason.BetaZero_xZero)
+        return _stopped(n, StopReason.BetaZero_xZero)
 
     engine = _Engine(n, driver.beta1, cfg)
-    vectors = _Vectors(x, work)
     reason = None
     try:
         for _ in range(maxit):
-            u, *column = driver.advance()
+            u, *column = driver.advance(*vectors.lend())
             engine.step(*column)
             vectors.update(u, engine)
             if monitor is not None:
-                monitor(engine.record(vectors.iterate(engine, copy=True)))
+                monitor(engine.record(vectors.iterate(engine)))
             reason = engine.verdict()
             if reason is not None:
                 break
@@ -560,7 +603,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         if not engine.lanczos_done:
             # one look-ahead process step turns the lagged estimate into
             # the one matching the returned iterate
-            _, alpha, _, sup, _, _ = driver.advance()
+            _, alpha, _, sup, _, _ = driver.advance(*vectors.lend())
             psi = engine.lookahead(alpha, sup)[0]
     except NonFiniteError:
         reason, psi = StopReason.NonFinite, engine.psi

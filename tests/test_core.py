@@ -12,6 +12,7 @@ from symkrylov.core import (
     as_vector,
     inner_h,
     inner_t,
+    norm2,
     probe_symmetry,
 )
 
@@ -23,6 +24,25 @@ def test_inner_t_oracles():
     assert inner_t(np.array([2.0]), np.array([3.0])) == 6.0
     # transpose product has no conjugation
     assert inner_t(np.array([1j]), np.array([1j])) == -1.0 + 0.0j
+
+
+@pytest.mark.parametrize("k", [-1000, -900, -600, 600, 900, 1000])
+def test_norm2_scales_by_powers_of_two_exactly(k):
+    x = np.array([3.0 + 4.0j, -1.0 + 0.5j, 0.25j, 2.0])
+    big = np.empty_like(x)
+    big.real, big.imag = np.ldexp(x.real, k), np.ldexp(x.imag, k)
+    with np.errstate(over="ignore"):
+        assert norm2(big) == np.ldexp(norm2(x), k)
+        assert norm2(big.real) == np.ldexp(norm2(x.real), k)
+
+
+def test_norm2_edge_values():
+    assert norm2(np.zeros(3, dtype=np.complex128)) == 0.0
+    assert norm2(np.zeros(0)) == 0.0
+    assert norm2(np.array([5e-324, 0.0])) == 5e-324
+    assert norm2(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(norm2(np.array([np.nan, 1.0])))
+    assert np.isnan(norm2(np.array([np.nan, np.inf])))
 
 
 def test_inner_h_oracles():

@@ -1,13 +1,19 @@
 """The scalar engine on its own: fed the entries of a tridiagonal T_k,
 with no operator and no vector, it must agree with a dense QLP and a
-dense least-squares solve of T_k at every k."""
+dense least-squares solve of T_k at every k.  Inside a solve it reads no
+vector either, which is what lets the vector side change roundoff and
+nothing else."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from symkrylov import solver
 from symkrylov.core import EPS
-from symkrylov.oracle import dense_qlp
-from symkrylov.solver import SolverConfig, _Engine
+from symkrylov.oracle import SplitMix64, dense_qlp, suite_problem
+from symkrylov.precond import Diagonal
+from symkrylov.solver import SolverConfig, _Engine, solve
 
 K = 12
 
@@ -61,3 +67,40 @@ def test_engine_matches_dense_qlp_and_least_squares(kind, seed):
         y = np.linalg.lstsq(t_k, rhs, rcond=None)[0]
         assert engine.phi == pytest.approx(np.linalg.norm(rhs - t_k @ y), rel=1e-12)
         assert engine.chi == pytest.approx(np.linalg.norm(y), rel=1e-12)
+
+
+def scalar_outputs(report, records):
+    """The bits of every output that is not a vector."""
+    out = [(f.name, np.asarray(getattr(report, f.name)).tobytes())
+           for f in fields(report) if f.name != "x"]
+    for rec in records:
+        out += [(f.name, np.asarray(getattr(rec, f.name)).tobytes())
+                for f in fields(rec) if f.name != "x"]
+    return out
+
+
+@pytest.mark.parametrize("trancond", [1.0, 1e7])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_engine_reads_no_vector(monkeypatch, trancond, preconditioned):
+    problems = [suite_problem(family, n, index, 42424242, compatible)
+                for family, n in (("cs-h", 30), ("cs-m", 30), ("ss", 31), ("sh", 31))
+                for index, compatible in ((0, True), (1, False))]
+    config = SolverConfig(tol=EPS, trancond=trancond)
+
+    def outputs():
+        out = []
+        for p in problems:
+            m = Diagonal(0.5 + SplitMix64(2031).uniforms(p.n)) if preconditioned else None
+            recs = []
+            r = solve(p.a, p.b, p.variant, config, preconditioner=m, monitor=recs.append)
+            out.append((r.transfer_iteration, scalar_outputs(r, recs)))
+        return out
+
+    real = outputs()
+    monkeypatch.setattr(solver._Vectors, "update", lambda self, u, e: None)
+    monkeypatch.setattr(solver._Vectors, "iterate",
+                        lambda self, e: np.zeros(self.block.shape[1], dtype=np.complex128))
+    assert outputs() == real
+    if trancond > 1.0:
+        # the set also moves from the MINRES phase to the QLP phase mid-run
+        assert any(transfer > 1 for transfer, _ in real)

@@ -5,7 +5,10 @@ place.  These tests pin what that must never touch: the caller's b,
 arrays the operator or preconditioner hand back (their argument, or a
 cached array they overwrite on the next call), earlier reports and
 monitor snapshots.  They also pin that every exit returns the iterate
-the monitor saw last.
+the monitor saw last, and that the QLP phase's window (the vector side
+moves its vectors once per `_WINDOW` iterations) is invisible from
+outside: a monitor changes nothing, a truncation on any window offset
+returns the last monitored iterate and `report.x` owns its memory.
 """
 
 from dataclasses import fields
@@ -13,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from symkrylov import solver
 from symkrylov.core import EPS, LinearOperator, SymmetryClass
 from symkrylov.oracle import (
     SplitMix64,
@@ -22,11 +26,12 @@ from symkrylov.oracle import (
     symmetric_imaginary_matrix,
 )
 from symkrylov.precond import Custom, Diagonal
-from symkrylov.solver import SolverConfig, StopReason, solve
+from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
 
 SEED = 42424242
 N = 24
 CONFIGS = (SolverConfig(tol=EPS, maxit=4 * N), SolverConfig(tol=EPS, maxit=4 * N, trancond=1.0))
+QLP = SolverConfig(tol=EPS, trancond=1.0)
 
 
 def class_problem(variant):
@@ -164,3 +169,67 @@ def test_midrun_preconditioner_breakdown_returns_last_monitored_iterate(trancond
     assert r.reason is StopReason.PreconditionerBreakdown
     assert len(recs) == 5 and r.iterations == recs[-1].k
     assert r.x.tobytes() == recs[-1].x.tobytes()
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("variant", list(SymmetryClass))
+def test_monitor_leaves_a_windowed_qlp_solve_unchanged(variant, preconditioned):
+    a, b = class_problem(variant)
+    m = Diagonal(diagonal()) if preconditioned else None
+    plain = solve(a, b, variant, QLP, preconditioner=m)
+    recs = []
+    watched = solve(a, b, variant, QLP, preconditioner=m, monitor=recs.append)
+    assert plain.transfer_iteration == 1
+    assert plain.iterations >= 4 * solver._WINDOW
+    assert_same_bits(plain, watched)
+    assert watched.x.tobytes() == recs[-1].x.tobytes()
+    # where it converges, the d-vector recurrence, which keeps no
+    # window, finds the same x
+    minres = solve(a, b, variant, SolverConfig(tol=EPS, trancond=1e20), preconditioner=m)
+    if minres.reason in CONVERGED_REASONS:
+        assert np.linalg.norm(plain.x - minres.x) <= 1e-10 * np.linalg.norm(minres.x)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_xnorm_truncation_on_each_window_offset(preconditioned):
+    p = suite_problem("cs-h", 30, 1, SEED, True)
+    m = Diagonal(0.5 + SplitMix64(2028).uniforms(30)) if preconditioned else None
+    free = []
+    solve(p.a, p.b, p.variant, QLP, preconditioner=m, monitor=free.append)
+    offsets = set()
+    for rec in free[1:4 * solver._WINDOW]:
+        recs = []
+        config = SolverConfig(tol=EPS, trancond=1.0, maxxnorm=0.999 * rec.chi)
+        r = solve(p.a, p.b, p.variant, config, preconditioner=m, monitor=recs.append)
+        assert r.reason is StopReason.XnormExceeded
+        assert r.chi <= config.maxxnorm
+        assert recs[-1].x is not r.x
+        assert r.x.tobytes() == recs[-1].x.tobytes()
+        if not preconditioned:
+            # the W columns are orthonormal, so chi is the length of x
+            assert abs(np.linalg.norm(r.x) - r.chi) <= 1e-10 * r.chi
+        # with trancond = 1 iteration k's u sits at window offset k - 1 mod m
+        offsets.add((r.iterations - 1) % solver._WINDOW)
+    assert offsets == set(range(solver._WINDOW))
+
+
+@pytest.mark.parametrize("trancond", [1.0, 1e7])
+def test_report_x_shares_no_memory_with_the_block(monkeypatch, trancond):
+    blocks = []
+    init = solver._Vectors.__init__
+
+    def keep_block(self, n):
+        init(self, n)
+        blocks.append(self.block)
+
+    monkeypatch.setattr(solver._Vectors, "__init__", keep_block)
+    a, b = class_problem(SymmetryClass.HERMITIAN)
+    config = SolverConfig(tol=EPS, trancond=trancond)
+    for m in (None, Diagonal(diagonal())):
+        r1 = solve(a, b, "hermitian", config, preconditioner=m)
+        r2 = solve(a, 2.0 * b, "hermitian", config, preconditioner=m)
+        assert r1.iterations > solver._WINDOW
+        assert r1.x.flags.owndata and r2.x.flags.owndata
+        assert not np.shares_memory(r1.x, blocks[-2])
+        assert not np.shares_memory(r2.x, blocks[-1])
+        assert not np.shares_memory(r1.x, r2.x)
