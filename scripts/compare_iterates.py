@@ -20,8 +20,9 @@ The set:
     under each configuration in CONFIGS, with and without a monitor;
   * the three bench/ workloads at seed 1;
   * a small fixed block of solves, built as in tests/, that stop for
-    each of the nine reasons the sets above do not reach (stop_runs),
-    with and without a monitor.
+    each of the eight reasons the sets above do not reach (stop_runs),
+    with and without a monitor, plus an entry with a NaN tol, which
+    records the ValueError it raises.
 Before the summary line, one line tallies the stop reasons of the
 working tree's solves and one counts the problems that differ in arrays
 only, with their largest x gap, against those that differ in a
@@ -162,8 +163,8 @@ def stop_runs():
         "GammaZero": lambda: suite("cs-h", 30, 0, False, tol=eps, maxit=500, maxxnorm=1e300),
         "CondExceeded": lambda: suite("cs-m", 30, 2, False, tol=eps, maxit=500, maxxnorm=1e300),
         "MaxIt": lambda: suite("cs-h", 30, 0, True, maxit=1),
-        # with a NaN tol no tolerance test passes, so a basis exhausted
-        # at full rank reports LanczosExhausted
+        # no finite tol reaches LanczosExhausted; SolverConfig rejects a
+        # NaN tol, so this entry records the ValueError
         "LanczosExhausted": lambda: suite("ss", 31, 0, True, reorthogonalize=True, tol=np.nan),
         "BetaZero_xZero": lambda: (np.eye(3), np.zeros(3), "cs", sk.SolverConfig(), {}),
         "Beta2Zero_OneStep": lambda: (1j * np.eye(2), np.array([1.0 + 1.0j, 0.0]), "cs",

@@ -6,10 +6,11 @@ Two subcommands:
   hand side, run the solver, print a key: value report.  Exit code 0
   when a solution was delivered, 2 when a regularization limit stopped
   the run (condition or solution-norm bound), 3 on the iteration limit,
-  4 on input problems (parse errors, failed structure probe,
+  4 on input problems (parse errors, a NaN option, failed structure probe,
   preconditioner breakdown).
 * experiment: run a reproducible generated suite and write one CSV row
-  per problem, with a pass-fraction summary on stdout.
+  per problem, with a pass-fraction summary on stdout;
+  --reorthogonalize runs it with full reorthogonalization.
 
 The coordinate format subset understood here: real or complex field;
 general, symmetric, skew-symmetric or hermitian symmetry.  Skew files
@@ -50,18 +51,34 @@ class InputError(Exception):
     """Anything wrong with files or arguments; maps to exit code 4."""
 
 
-_VARIANT_BY_FLAG = {
-    "cs": SymmetryClass.COMPLEX_SYMMETRIC,
-    "ss": SymmetryClass.SKEW_SYMMETRIC,
-    "sh": SymmetryClass.SKEW_HERMITIAN,
-    "hermitian": SymmetryClass.HERMITIAN,
+# each symmetric Matrix Market kind: its symmetry class, and how the
+# entry (j, i) follows from a stored (i, j)
+_MM_KINDS = {
+    "symmetric": (SymmetryClass.COMPLEX_SYMMETRIC, lambda v: v),
+    "skew-symmetric": (SymmetryClass.SKEW_SYMMETRIC, lambda v: -v),
+    "hermitian": (SymmetryClass.HERMITIAN, complex.conjugate),
 }
+_MM_SYMMETRIES = ("general", *_MM_KINDS)
 
-_VARIANT_BY_MM = {
-    "symmetric": SymmetryClass.COMPLEX_SYMMETRIC,
-    "skew-symmetric": SymmetryClass.SKEW_SYMMETRIC,
-    "hermitian": SymmetryClass.HERMITIAN,
-}
+
+def _data_lines(fh: TextIO):
+    """The stripped lines of fh that are neither blank nor % comments."""
+    for line in fh:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("%"):
+            yield stripped
+
+
+def _finite_entry(path: str, toks: List[str], line: str) -> complex:
+    """complex(*toks) for one or two real tokens; InputError unless
+    each parses and is finite."""
+    try:
+        parts = [float(tok) for tok in toks]
+    except ValueError as exc:
+        raise InputError(f"{path}: bad number in {line!r}") from exc
+    if not all(math.isfinite(part) for part in parts):
+        raise InputError(f"{path}: non-finite entry {line!r}")
+    return complex(*parts)
 
 
 def mm_read(path: str) -> Tuple[SparseMatrix, str]:
@@ -80,15 +97,10 @@ def mm_read(path: str) -> Tuple[SparseMatrix, str]:
             raise InputError(f"{path}: only coordinate layout is supported")
         if field not in ("real", "complex"):
             raise InputError(f"{path}: field {field!r} not supported (real or complex)")
-        if symmetry not in ("general", "symmetric", "skew-symmetric", "hermitian"):
+        if symmetry not in _MM_SYMMETRIES:
             raise InputError(f"{path}: symmetry {symmetry!r} not supported")
-        size_line = None
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
+        lines = _data_lines(fh)
+        size_line = next(lines, None)
         if size_line is None:
             raise InputError(f"{path}: missing size line")
         try:
@@ -97,30 +109,25 @@ def mm_read(path: str) -> Tuple[SparseMatrix, str]:
             raise InputError(f"{path}: bad size line {size_line!r}") from exc
         if m != n:
             raise InputError(f"{path}: matrix must be square, got {m}x{n}")
+        mirror = _MM_KINDS[symmetry][1] if symmetry in _MM_KINDS else None
         rows: List[int] = []
         cols: List[int] = []
         vals: List[complex] = []
         want = 3 if field == "real" else 4
         count = 0
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            toks = stripped.split()
+        for line in lines:
+            toks = line.split()
             if len(toks) != want:
-                raise InputError(f"{path}: bad entry line {stripped!r}")
+                raise InputError(f"{path}: bad entry line {line!r}")
             try:
                 i = int(toks[0]) - 1
                 j = int(toks[1]) - 1
-                parts = [float(tok) for tok in toks[2:]]
             except ValueError as exc:
-                raise InputError(f"{path}: bad number in {stripped!r}") from exc
+                raise InputError(f"{path}: bad number in {line!r}") from exc
+            v = _finite_entry(path, toks[2:], line)
             if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"{path}: index out of range in {stripped!r}")
-            if not all(math.isfinite(part) for part in parts):
-                raise InputError(f"{path}: non-finite entry {stripped!r}")
-            v = complex(*parts)
-            if symmetry != "general" and i < j:
+                raise InputError(f"{path}: index out of range in {line!r}")
+            if mirror is not None and i < j:
                 raise InputError(
                     f"{path}: entry above the diagonal in a {symmetry} file")
             if symmetry == "skew-symmetric" and i == j:
@@ -130,18 +137,10 @@ def mm_read(path: str) -> Tuple[SparseMatrix, str]:
             rows.append(i)
             cols.append(j)
             vals.append(v)
-            if i != j:
+            if mirror is not None and i != j:
                 rows.append(j)
                 cols.append(i)
-                if symmetry == "symmetric":
-                    vals.append(v)
-                elif symmetry == "skew-symmetric":
-                    vals.append(-v)
-                elif symmetry == "hermitian":
-                    vals.append(v.conjugate())
-                else:
-                    rows.pop()
-                    cols.pop()
+                vals.append(mirror(v))
             count += 1
         if count != nnz:
             raise InputError(f"{path}: expected {nnz} entries, found {count}")
@@ -155,7 +154,7 @@ def _fmt(v: float) -> str:
 def mm_write(path: str, mat: SparseMatrix, symmetry: str = "general") -> None:
     """Write a coordinate file.  For the symmetric kinds only the lower
     triangle is emitted; the matrix is trusted to have the structure."""
-    if symmetry not in ("general", "symmetric", "skew-symmetric", "hermitian"):
+    if symmetry not in _MM_SYMMETRIES:
         raise InputError(f"unsupported symmetry kind {symmetry!r}")
     n = mat.n
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))
@@ -186,20 +185,11 @@ def read_rhs(path: str, n: int) -> np.ndarray:
     're' or 're im', with % comment lines allowed."""
     entries: List[complex] = []
     with open(path, "r") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            toks = stripped.split()
+        for line in _data_lines(fh):
+            toks = line.split()
             if len(toks) not in (1, 2):
-                raise InputError(f"{path}: bad vector line {stripped!r}")
-            try:
-                parts = [float(tok) for tok in toks]
-            except ValueError as exc:
-                raise InputError(f"{path}: bad number in {stripped!r}") from exc
-            if not all(math.isfinite(part) for part in parts):
-                raise InputError(f"{path}: non-finite entry {stripped!r}")
-            entries.append(complex(*parts))
+                raise InputError(f"{path}: bad vector line {line!r}")
+            entries.append(_finite_entry(path, toks, line))
     if len(entries) != n:
         raise InputError(f"{path}: expected {n} entries, found {len(entries)}")
     return np.array(entries, dtype=np.complex128)
@@ -236,9 +226,9 @@ def _resolve_seed(arg_seed: Optional[int]) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     mat, symmetry = mm_read(args.matrix)
     if args.variant is not None:
-        variant = _VARIANT_BY_FLAG[args.variant]
-    elif symmetry in _VARIANT_BY_MM:
-        variant = _VARIANT_BY_MM[symmetry]
+        variant = SymmetryClass(args.variant)
+    elif symmetry in _MM_KINDS:
+        variant = _MM_KINDS[symmetry][0]
     else:
         raise InputError("general files need an explicit --variant")
 
@@ -255,14 +245,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         b = mat.matvec(z) if args.rhs_compatible else z
 
     shift = _parse_shift(args.shift) if args.shift else 0.0
-    cfg = SolverConfig(
-        tol=args.tol,
-        maxit=args.maxit,
-        maxxnorm=args.maxxnorm,
-        maxcond=args.maxcond,
-        trancond=args.trancond,
-        shift=shift,
-    )
+    try:
+        cfg = SolverConfig(
+            tol=args.tol,
+            maxit=args.maxit,
+            maxxnorm=args.maxxnorm,
+            maxcond=args.maxcond,
+            trancond=args.trancond,
+            shift=shift,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     precond = jacobi_from_matrix(mat) if args.precond == "jacobi" else None
     report = solve(mat, b, variant, cfg, preconditioner=precond)
 
@@ -356,7 +349,7 @@ def write_records(records: List[RunRecord], out: TextIO) -> None:
 def cmd_experiment(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else _FAMILY_DEFAULT_N[args.family]
     seed = _resolve_seed(args.seed)
-    records = run_suite(args.family, n, args.count, seed)
+    records = run_suite(args.family, n, args.count, seed, args.reorthogonalize)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_records(records, fh)
@@ -380,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform random right-hand side")
     ps.add_argument("--rhs-compatible", action="store_true",
                     help="right-hand side A z for uniform random z")
-    ps.add_argument("--variant", choices=sorted(_VARIANT_BY_FLAG),
+    ps.add_argument("--variant", choices=[c.value for c in SymmetryClass],
                     help="symmetry class; inferred from the file when possible")
     ps.add_argument("--tol", type=float, default=EPS)
     ps.add_argument("--maxit", type=int, default=None)
@@ -402,6 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="problems per half (compatible and incompatible)")
     pe.add_argument("--seed", type=int, default=None)
     pe.add_argument("--out", help="CSV path (stdout when omitted)")
+    pe.add_argument("--reorthogonalize", action="store_true",
+                    help="full reorthogonalization (exact rank termination "
+                         "on singular problems)")
     pe.set_defaults(func=cmd_experiment)
     return parser
 

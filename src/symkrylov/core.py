@@ -190,19 +190,25 @@ class LinearOperator:
         return cls(n=mat.n, symmetry=symmetry, apply=mat.matvec)
 
 
-def probe_symmetry(op: LinearOperator, nprobe: int = 2, seed: int = 20260822) -> float:
-    """Check the declared symmetry on random vector pairs.
+# the symmetry probe draws PROBE_PAIRS vector pairs, two operator applies
+# each, from a generator seeded with PROBE_SEED, so every solve probes alike
+PROBE_PAIRS = 2
+PROBE_SEED = 20260822
+
+
+def probe_symmetry(op: LinearOperator) -> float:
+    """Check the declared symmetry on PROBE_PAIRS random vector pairs.
 
     Returns the worst relative defect.  Raises StructureError (a
     ValueError) when the operator visibly violates its declared class,
     and NonFiniteError when a product holds NaN or Inf.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     worst = 0.0
     anorm_est = 0.0
     cls = op.symmetry
     transpose = cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)
-    for _ in range(nprobe):
+    for _ in range(PROBE_PAIRS):
         y = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
         z = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
         ay = op(y)

@@ -33,15 +33,17 @@ last two d-vectors and the current basis vector determine the three
 live W columns without ever dividing by the (possibly vanishing)
 rotated diagonal.
 
-`solve` validates its input, probes the structure, and then loops:
-driver step, engine step, vector update, monitor, stop verdict.
+`solve` validates its input, probes the structure, scales b by the
+exact power of two that puts its largest entry in [1/2, 1), and then
+loops: driver step, engine step, vector update, monitor, stop verdict.
+What it reports and monitors is scaled back to the caller's b.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Tuple, Union
 
@@ -98,6 +100,9 @@ class SolverConfig:
     maxit defaults to 4n.  trancond <= 1 forces the QLP phase from the
     first iteration; trancond > 1/eps keeps plain MINRES throughout.
     The condition limit is applied as acond >= max(maxcond, 1/eps).
+    maxxnorm bounds ||x|| in the units of the b passed to solve.  A NaN
+    tol, maxxnorm, maxcond or trancond raises ValueError: every test
+    against it would fail.
     """
 
     tol: float = EPS
@@ -107,6 +112,11 @@ class SolverConfig:
     trancond: float = 1e7
     shift: complex = 0.0
     check_structure: bool = True
+
+    def __post_init__(self):
+        for name in ("tol", "maxxnorm", "maxcond", "trancond"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass
@@ -394,10 +404,13 @@ class _Engine:
             return StopReason.XnormExceeded
         return None
 
-    def record(self, x: np.ndarray) -> MonitorRecord:
-        """The monitor's view of iteration k, with iterate x."""
-        return MonitorRecord(self.k, *self.column, self.phi, self.psi, self.chi, self.anorm,
-                             self.acond, self.gamma2, self.gamma4, x)
+    def record(self, x: np.ndarray, e: int) -> MonitorRecord:
+        """The monitor's view of iteration k, with iterate x, for a b
+        the solve scaled by 2**-e: x, phi, psi and chi come out times
+        2**e."""
+        return MonitorRecord(self.k, *self.column, _ldexp(self.phi, e), _ldexp(self.psi, e),
+                             _ldexp(self.chi, e), self.anorm, self.acond, self.gamma2,
+                             self.gamma4, _ldexp(x, e))
 
 
 # basis vectors u the QLP phase holds back between two products with the
@@ -523,6 +536,19 @@ def _transfer_map(e: _Engine) -> np.ndarray:
     return np.array([x2 + e.mu_km2 * w4_km2, w3_km1, w2_k])
 
 
+def _ldexp(v, e: int):
+    """2**e * v, exact wherever the result stays in range.  v is a float
+    (an overflow gives inf) or a complex array, scaled in place."""
+    if isinstance(v, np.ndarray):
+        np.ldexp(v.real, e, out=v.real)
+        np.ldexp(v.imag, e, out=v.imag)
+        return v
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _stopped(n: int, reason: StopReason, **fields) -> SolveReport:
     """The report of a solve that stops before its first iteration."""
     return SolveReport(np.zeros(n, dtype=np.complex128), reason, **fields)
@@ -559,6 +585,16 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     maxit = cfg.maxit if cfg.maxit is not None else 4 * n
     if maxit < 1:
         raise ValueError("maxit must be at least 1")
+    # the Identity kind reduces to the plain process exactly; routing it
+    # through the z/q recurrences would only reproduce the same run to
+    # roundoff, and ulp-level differences amplify through the recurrence
+    if preconditioner is None or isinstance(preconditioner, Identity):
+        m_solve = None
+    elif reorthogonalize:
+        raise ValueError("reorthogonalize needs the plain process: no "
+                         "preconditioner, or Identity")
+    else:
+        m_solve = preconditioner.solve
     if cfg.check_structure:
         try:
             probe_symmetry(op)
@@ -567,18 +603,19 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         except NonFiniteError:
             return _stopped(n, StopReason.NonFinite)
 
-    # the Identity kind reduces to the plain process exactly; routing it
-    # through the z/q recurrences would only reproduce the same run to
-    # roundoff, and ulp-level differences amplify through the recurrence
-    if preconditioner is None or isinstance(preconditioner, Identity):
-        m_solve = None
-    else:
-        m_solve = preconditioner.solve
+    # solve for 2**-e * b, whose largest entry lies in [1/2, 1), so that
+    # neither beta_1 nor b / beta_1 nor q'z can under- or overflow; the
+    # scale is exact, so x, phi, psi, chi and omega come back unscaled
+    # bit for bit, and maxxnorm, in the caller's units, is scaled along
+    e = math.frexp(float(np.max(np.abs(b), initial=0.0)))[1]
+    if e != 0:
+        _ldexp(b, -e)
+        cfg = replace(cfg, maxxnorm=_ldexp(cfg.maxxnorm, -e))
     vectors = _Vectors(n)
     try:
         driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize)
     except PreconditionerBreakdownError:
-        return _stopped(n, StopReason.PreconditionerBreakdown, phi=norm2(b))
+        return _stopped(n, StopReason.PreconditionerBreakdown, phi=_ldexp(norm2(b), e))
     except NonFiniteError:
         return _stopped(n, StopReason.NonFinite)
     del b   # the process owns it now; no copy of b stays resident
@@ -593,7 +630,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
             engine.step(*column)
             vectors.update(u, engine)
             if monitor is not None:
-                monitor(engine.record(vectors.iterate(engine)))
+                monitor(engine.record(vectors.iterate(engine), e))
             reason = engine.verdict()
             if reason is not None:
                 break
@@ -614,6 +651,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         # the collapse left an iterate that already passes the A*r test;
         # the in-loop check lags one step and loses that race
         reason = StopReason.Converged_ArNorm
-    return SolveReport(x=vectors.iterate(engine), reason=reason, iterations=engine.k,
-                       transfer_iteration=engine.transfer_iteration, phi=engine.phi, psi=psi,
-                       chi=engine.chi, anorm=engine.anorm, acond=engine.acond, omega=engine.omega)
+    return SolveReport(x=_ldexp(vectors.iterate(engine), e), reason=reason, iterations=engine.k,
+                       transfer_iteration=engine.transfer_iteration, phi=_ldexp(engine.phi, e),
+                       psi=_ldexp(psi, e), chi=_ldexp(engine.chi, e), anorm=engine.anorm,
+                       acond=engine.acond, omega=_ldexp(engine.omega, e))

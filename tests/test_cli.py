@@ -14,6 +14,7 @@ from symkrylov.cli import (
     mm_write,
     read_rhs,
     run_suite,
+    write_records,
     write_vector,
 )
 from symkrylov.core import SparseMatrix
@@ -227,6 +228,13 @@ def test_solve_rhs_source_exclusive(tmp_path):
     assert main(["solve", "--matrix", path]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("option", ["--tol", "--maxxnorm", "--maxcond", "--trancond"])
+def test_solve_nan_option_exits_input(tmp_path, capsys, option):
+    path = _matrix_file(tmp_path, np.eye(2), "symmetric")
+    assert main(["solve", "--matrix", path, "--rhs-random", option, "nan"]) == EXIT_INPUT
+    assert "must not be NaN" in capsys.readouterr().err
+
+
 def test_solve_missing_file():
     assert main(["solve", "--matrix", "/nonexistent.mtx",
                  "--rhs-random"]) == EXIT_INPUT
@@ -299,6 +307,16 @@ def test_experiment_deterministic_given_seed(tmp_path):
     main(["experiment", "--family", "sh", "--n", "13", "--count", "1",
           "--seed", "7", "--out", out2])
     assert _rows_without_wall_time(out1) == _rows_without_wall_time(out2)
+
+
+def test_experiment_reorthogonalize(tmp_path):
+    out = str(tmp_path / "reorth.csv")
+    assert main(["experiment", "--family", "ss", "--n", "11", "--count", "2",
+                 "--seed", "7", "--reorthogonalize", "--out", out]) == EXIT_OK
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        write_records(run_suite("ss", 11, 2, 7, reorthogonalize=True), fh)
+    assert _rows_without_wall_time(out) == _rows_without_wall_time(str(want))
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

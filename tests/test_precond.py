@@ -84,12 +84,47 @@ def test_indefinite_preconditioner_reported():
     r = solve(np.eye(4), np.ones(4), "cs",
               preconditioner=Custom(lambda v: -v))
     assert r.reason is StopReason.PreconditionerBreakdown
+    # breaking down before the first step leaves the residual at ||b||
+    assert r.iterations == 0 and r.phi == 2.0
 
 
 def test_singular_preconditioner_reported():
     r = solve(np.eye(4), np.ones(4), "cs",
               preconditioner=Custom(lambda v: np.zeros_like(v)))
     assert r.reason is StopReason.PreconditionerBreakdown
+
+
+def test_non_finite_first_preconditioner_solve_stops():
+    r = solve(np.eye(4), np.ones(4), "cs",
+              preconditioner=Custom(lambda v: np.full_like(v, np.nan)))
+    assert r.reason is StopReason.NonFinite and r.iterations == 0
+    np.testing.assert_array_equal(r.x, np.zeros(4))
+
+
+def test_zero_rhs_preconditioned_returns_zero():
+    d = np.arange(1.0, 5.0)
+    r = solve(np.diag(d), np.zeros(4), "cs", preconditioner=Diagonal(d))
+    assert r.reason is StopReason.BetaZero_xZero and r.iterations == 0
+    np.testing.assert_array_equal(r.x, np.zeros(4))
+
+
+@pytest.mark.parametrize("m", [Diagonal(np.arange(1.0, 5.0)), Custom(lambda v: v / 2.0)])
+def test_reorthogonalize_with_preconditioner_rejected(m):
+    with pytest.raises(ValueError, match="reorthogonalize"):
+        solve(np.eye(4), np.ones(4), "cs", preconditioner=m, reorthogonalize=True)
+
+
+def test_preconditioned_shift_equals_shifted_matrix():
+    # a complex symmetric run keeps the shift inside the preconditioned step
+    p = suite_problem("cs-h", 20, 0, SEED, True)
+    d = 0.5 + SplitMix64(79).uniforms(20)
+    sigma = 0.2 + 0.1j
+    r1 = solve(p.a, p.b, p.variant, SolverConfig(tol=1e-12, shift=sigma),
+               preconditioner=Diagonal(d))
+    r2 = solve(p.a - sigma * np.eye(20), p.b, p.variant, SolverConfig(tol=1e-12),
+               preconditioner=Diagonal(d))
+    assert r1.reason is r2.reason is StopReason.Converged_Rnorm
+    assert norm2(r1.x - r2.x) <= 1e-9 * norm2(r2.x)
 
 
 def test_diagonal_preconditioned_residual_quality():

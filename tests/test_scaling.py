@@ -1,9 +1,10 @@
 """A right-hand side scaled by a power of two scales the solve exactly.
 
-With A fixed, the process normalizes b away, so the basis and T are the
-same for b and 2**k * b; beta_1 and everything the engine derives from
-it scale by 2**k.  That holds bit for bit as long as beta_1 does, which
-needs a 2-norm that neither underflows nor overflows.
+solve() runs on b scaled by the exact power of two that puts its largest
+entry in [1/2, 1), so b and 2**k * b run the same solve, and x, phi, psi
+and chi come back times 2**k.  That holds bit for bit wherever those
+outputs stay in range, even where b itself is subnormal or its norm
+overflows.
 """
 
 import math
@@ -66,13 +67,47 @@ def test_scaled_rhs_scales_the_solve_bitwise(k, family):
     assert_scaled_solve(family, k)
 
 
-@pytest.mark.parametrize("k", [-700, 600])
+@pytest.mark.parametrize("k", [-700, 600, 1023])
 def test_extreme_rhs_solves_the_diagonal_system(k):
     d = np.arange(1.0, 9.0)
     r = solve(np.diag(d), 2.0**k * np.ones(8), "hermitian", CONFIG)
     assert r.reason is StopReason.Converged_Rnorm and r.iterations == 8
-    want = 2.0**k / d
-    assert np.linalg.norm(r.x - want) <= 8 * EPS * np.linalg.norm(want)
+    # compared at scale 1, where neither norm under- or overflows
+    assert np.linalg.norm(scaled(r.x, -k) - 1 / d) <= 8 * EPS * np.linalg.norm(1 / d)
+
+
+def test_subnormal_rhs_scales_the_solve():
+    d = np.arange(1.0, 9.0)
+    ref_records, records = [], []
+    ref = solve(np.diag(d), np.ones(8), "hermitian", monitor=ref_records.append)
+    r = solve(np.diag(d), scaled(np.ones(8), -1071), "hermitian", monitor=records.append)
+    assert r.reason is ref.reason is StopReason.Converged_Rnorm and r.iterations == 8
+    assert r.x.tobytes() == scaled(ref.x, -1071).tobytes()
+    assert len(records) == len(ref_records)
+    for rec, want in zip(records, ref_records):
+        assert rec.x.tobytes() == scaled(want.x, -1071).tobytes()
+        for name in ("phi", "psi", "chi"):
+            assert getattr(rec, name) == math.ldexp(getattr(want, name), -1071), name
+
+
+@pytest.mark.parametrize("k", [-1071, -700])
+def test_tiny_rhs_preconditioned_scales_the_solve(k):
+    d = np.arange(1.0, 9.0)
+    ref = solve(np.diag(d), np.ones(8), "hermitian", preconditioner=Diagonal(d))
+    r = solve(np.diag(d), scaled(np.ones(8), k), "hermitian", preconditioner=Diagonal(d))
+    assert r.reason is ref.reason and r.iterations == ref.iterations
+    assert r.x.tobytes() == scaled(ref.x, k).tobytes()
+
+
+@pytest.mark.parametrize("k", [-1071, -600, 600])
+def test_maxxnorm_bounds_x_in_the_units_of_b(k):
+    d = np.arange(1.0, 9.0)
+    ref = solve(np.diag(d), np.ones(8), "hermitian", SolverConfig(maxxnorm=1.0))
+    assert ref.reason is StopReason.XnormExceeded
+    r = solve(np.diag(d), scaled(np.ones(8), k), "hermitian",
+              SolverConfig(maxxnorm=math.ldexp(1.0, k)))
+    assert r.reason is ref.reason and r.iterations == ref.iterations
+    assert r.x.tobytes() == scaled(ref.x, k).tobytes()
 
 
 def test_tiny_rhs_preconditioned_is_no_converged_zero():

@@ -122,6 +122,12 @@ def test_maxit_validation():
         solve(np.eye(2), np.ones(2), "cs", SolverConfig(maxit=0))
 
 
+@pytest.mark.parametrize("name", ["tol", "maxxnorm", "maxcond", "trancond"])
+def test_nan_option_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: np.nan})
+
+
 def test_variant_required_for_raw_matrix():
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones(2))
