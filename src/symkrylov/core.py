@@ -209,8 +209,10 @@ def probe_symmetry(op: LinearOperator) -> float:
     cls = op.symmetry
     transpose = cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)
     for _ in range(PROBE_PAIRS):
-        y = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-        z = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+        # one draw of 2n reals per vector, read as n complex entries
+        y = rng.standard_normal(2 * op.n).view(np.complex128)
+        z = rng.standard_normal(2 * op.n).view(np.complex128)
+        y_norm, z_norm = norm2(y), norm2(z)
         ay = op(y)
         # read ay before the next apply: an operator may return a cached array
         ay_norm = norm2(ay)
@@ -220,8 +222,8 @@ def probe_symmetry(op: LinearOperator) -> float:
         # max() would drop a NaN, so a NaN operator would pass the probe
         if not (math.isfinite(ay_norm) and math.isfinite(az_norm)):
             raise NonFiniteError("operator returned NaN or Inf in the symmetry probe")
-        anorm_est = max(anorm_est, ay_norm / norm2(y), az_norm / norm2(z))
-        scale = max(anorm_est * norm2(y) * norm2(z), EPS)
+        anorm_est = max(anorm_est, ay_norm / y_norm, az_norm / z_norm)
+        scale = max(anorm_est * y_norm * z_norm, EPS)
         y_az = inner_t(y, az) if transpose else inner_h(y, az)
         if cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.HERMITIAN):
             defect = abs(y_az - z_ay)

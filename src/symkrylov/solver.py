@@ -102,7 +102,7 @@ class SolverConfig:
     The condition limit is applied as acond >= max(maxcond, 1/eps).
     maxxnorm bounds ||x|| in the units of the b passed to solve.  A NaN
     tol, maxxnorm, maxcond or trancond raises ValueError: every test
-    against it would fail.
+    against it would fail.  So does a maxit below 1.
     """
 
     tol: float = EPS
@@ -117,6 +117,8 @@ class SolverConfig:
         for name in ("tol", "maxxnorm", "maxcond", "trancond"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
+        if self.maxit is not None and self.maxit < 1:
+            raise ValueError("maxit must be at least 1")
 
 
 @dataclass
@@ -198,7 +200,7 @@ class _Driver:
         or beta, before the engine sees either."""
         row, st = self.row, self.st
         if self.m_solve is not None:
-            u = np.divide(st.q_curr, st.beta_next, out=out)
+            u = np.multiply(st.q_curr, 1.0 / st.beta_next, out=out)   # q / beta
             st = self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, work)
         else:
             u = np.conj(st.v_curr, out=out) if row.conj else st.v_curr
@@ -583,7 +585,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         raise ValueError("b must be finite (it holds NaN or Inf)")
     n = op.n
     maxit = cfg.maxit if cfg.maxit is not None else 4 * n
-    if maxit < 1:
+    if maxit < 1:       # the default 4n for n = 0; SolverConfig checks the rest
         raise ValueError("maxit must be at least 1")
     # the Identity kind reduces to the plain process exactly; routing it
     # through the z/q recurrences would only reproduce the same run to

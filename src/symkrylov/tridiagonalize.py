@@ -29,6 +29,7 @@ two matrix-vector products with the block.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -143,8 +144,12 @@ def process_init(b: np.ndarray, structure: Structure,
     basis = _Basis(b.shape[0]) if reorthogonalize else None
     v1 = None
     if beta1 > 0.0:
-        v1 = np.divide(structure.rotate(b), beta1,
-                       out=None if basis is None else basis.new_row())
+        # numpy divides by a real beta as by beta + 0j, scaling both parts
+        # by the one reciprocal 1/beta; multiplying by that reciprocal
+        # gives the same bits (an exact zero's sign and the NaN/Inf
+        # pattern aside) without the slower complex division loop
+        v1 = np.multiply(structure.rotate(b), 1.0 / beta1,
+                         out=None if basis is None else basis.new_row())
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
@@ -175,8 +180,8 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
     beta_next = norm2(cand)
     v_next = None
     if beta_next > 0.0:
-        v_next = np.divide(-cand if structure.skew else cand, beta_next,
-                           out=None if st.basis is None else st.basis.new_row())
+        v_next = np.multiply(cand, (-1.0 if structure.skew else 1.0) / beta_next,
+                             out=None if st.basis is None else st.basis.new_row())
     return TridiagState(k=st.k + 1, beta_next=beta_next, v_prev=v, v_curr=v_next,
                         alpha=alpha, beta_curr=st.beta_next, basis=st.basis)
 
@@ -228,12 +233,16 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
     else:
         q = np.asarray(m_solve(z), dtype=np.complex128)
         prod = inner_h(q, z)
-    z_norm = norm2(z)
-    if not math.isfinite(z_norm):
-        # a NaN would fail z_norm > 0 and pass for an exact termination
-        return q, math.nan
-    beta2 = _real_positive(prod, "q'z") if z_norm > 0.0 else 0.0
-    return q, float(np.sqrt(beta2))
+    if not (cmath.isfinite(prod) and prod.real > 0.0):
+        # a finite positive q'z needs a finite nonzero z, so only here
+        # can z be zero (beta = 0) or hold NaN or Inf
+        z_norm = norm2(z)
+        if not math.isfinite(z_norm):
+            # a NaN would fail z_norm > 0 and pass for an exact termination
+            return q, math.nan
+        if z_norm == 0.0:
+            return q, 0.0
+    return q, float(np.sqrt(_real_positive(prod, "q'z")))
 
 
 def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
@@ -267,11 +276,12 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
     t, t2 = work if work is not None else (np.empty_like(z), np.empty_like(z))
     z_prev = st.z_prev
     # each out= call below is one operation of the expression in its
-    # comment, in numpy's evaluation order, so the bits do not change
+    # comment, in numpy's evaluation order, and a division by beta is a
+    # multiplication by 1/beta (see process_init), so the bits do not change
     p = op(q)
     if structure.skew:
         alpha: complex = 0.0
-        np.divide(np.negative(p, out=t), beta, out=t)            # -p / beta
+        np.multiply(p, -1.0 / beta, out=t)                       # -p / beta
     else:
         if structure.rot != 1:
             p = np.multiply(structure.rot, p, out=t)             # rot * p
@@ -279,7 +289,7 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
             p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)  # p - shift * q
         inner = inner_t if structure.conj else inner_h
         alpha = inner(q, p) / beta**2
-        np.divide(p, beta, out=t)                                # p / beta - (alpha / beta) z
+        np.multiply(p, 1.0 / beta, out=t)                        # p / beta - (alpha / beta) z
         np.subtract(t, np.multiply(alpha / beta, z, out=t2), out=t)
     if z_prev is None:
         z_next = t.copy()

@@ -235,6 +235,13 @@ def test_solve_nan_option_exits_input(tmp_path, capsys, option):
     assert "must not be NaN" in capsys.readouterr().err
 
 
+def test_solve_maxit_zero_exits_input(tmp_path, capsys):
+    path = _matrix_file(tmp_path, np.eye(2), "symmetric")
+    assert main(["solve", "--matrix", path, "--rhs-random", "--maxit", "0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "maxit must be at least 1" in err and "Traceback" not in err
+
+
 def test_solve_missing_file():
     assert main(["solve", "--matrix", "/nonexistent.mtx",
                  "--rhs-random"]) == EXIT_INPUT

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symkrylov.core import EPS, norm2
+from symkrylov.core import EPS, LinearOperator, SymmetryClass, norm2
 from symkrylov.oracle import SplitMix64, skew_symmetric_matrix, suite_problem
 from symkrylov.precond import Custom, Diagonal, Identity, jacobi_from_matrix
 from symkrylov.solver import SolverConfig, StopReason, solve
@@ -39,6 +39,40 @@ def test_diagonal_validation():
 def test_diagonal_solve_applies_inverse():
     m = Diagonal(np.array([2.0, 4.0]))
     np.testing.assert_array_equal(m.solve(np.array([2.0, 4.0])), [1.0, 1.0])
+
+
+def test_diagonal_solve_equals_division_across_the_range():
+    rng = np.random.default_rng(5)
+    n = 2000
+    z = (rng.standard_normal(n) * 2.0 ** rng.integers(-1000, 1000, n)
+         + 1j * rng.standard_normal(n) * 2.0 ** rng.integers(-1000, 1000, n))
+    z.real[::11] = 0.0
+    z.imag[::13] = 0.0
+    z[::17] = 0.0
+    d = rng.uniform(0.5, 2.0, n) * 2.0 ** rng.integers(-60, 60, n)
+    m = Diagonal(d)
+    with np.errstate(over="ignore"):      # some quotients leave the range
+        np.testing.assert_array_equal(m.solve(z), z / d)
+
+
+def test_hiding_non_finite_entries_still_stops_non_finite():
+    # M^{-1} zeroes the Inf the operator writes into one step's z, so only
+    # z itself shows it; the solve must stop NonFinite, not carry on
+    a = np.diag(np.arange(1.0, 9.0))
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        y = a @ x
+        if calls[0] == 7:
+            y[2] = np.inf
+        return y
+    m = Custom(lambda v: np.where(np.isfinite(v), v, 0.0) / 2.0)
+    with np.errstate(invalid="ignore"):
+        r = solve(LinearOperator(8, SymmetryClass.HERMITIAN, apply), np.ones(8),
+                  preconditioner=m)
+    assert r.reason is StopReason.NonFinite and r.iterations == 2
+    assert np.all(np.isfinite(r.x))
 
 
 def test_scaled_identity_preconditioner_one_step():

@@ -122,6 +122,18 @@ def test_maxit_validation():
         solve(np.eye(2), np.ones(2), "cs", SolverConfig(maxit=0))
 
 
+@pytest.mark.parametrize("maxit", [0, -3])
+def test_maxit_below_one_rejected_by_config(maxit):
+    with pytest.raises(ValueError, match="maxit"):
+        SolverConfig(maxit=maxit)
+
+
+def test_default_maxit_of_empty_operator_rejected():
+    op = LinearOperator(0, SymmetryClass.HERMITIAN, lambda x: x)
+    with pytest.raises(ValueError, match="maxit"):
+        solve(op, np.zeros(0))
+
+
 @pytest.mark.parametrize("name", ["tol", "maxxnorm", "maxcond", "trancond"])
 def test_nan_option_rejected(name):
     with pytest.raises(ValueError, match=name):

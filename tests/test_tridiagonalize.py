@@ -332,3 +332,52 @@ def test_precond_breakdown_on_indefinite_m():
     b = np.array([1.0, 1.0])
     with pytest.raises(PreconditionerBreakdownError):
         tri.precond_init(b, lambda z: -z, tri.STRUCTURES[CS])
+
+
+ROWS = [pytest.param(tri.STRUCTURES[v], id=v.value) for v in (CS, SS, SH, H)]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_precond_pair_zero_z_gives_beta_zero(row):
+    z = np.zeros(4, dtype=np.complex128)
+    for m_solve in (lambda v: v / 2.0, lambda v: -v):
+        q, beta = tri._precond_pair(z, m_solve, row)
+        assert beta == 0.0
+        np.testing.assert_array_equal(q, np.zeros(4))
+
+
+@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j * np.inf, complex(1.0, np.nan)])
+def test_precond_pair_non_finite_z_gives_nan(row, bad):
+    z = np.array([1.0, 2.0 + 1.0j, bad, 0.5], dtype=np.complex128)
+    # M = I hands z's Inf on to q, v / 2 puts a NaN beside it, and the
+    # last M^{-1} zeroes NaN and Inf, so that only z shows them
+    with np.errstate(invalid="ignore"):
+        for m_solve in (np.copy, lambda v: v / 2.0,
+                        lambda v: np.where(np.isfinite(v), v, 0.0)):
+            assert np.isnan(tri._precond_pair(z, m_solve, row)[1])
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_precond_pair_breakdowns(row):
+    z = np.array([1.0, 2.0 + 1.0j, -0.5j], dtype=np.complex128)
+    assert tri._precond_pair(z, lambda v: v / 2.0, row)[1] > 0.0
+    # indefinite M: q'z is negative real
+    with pytest.raises(PreconditionerBreakdownError):
+        tri._precond_pair(z, lambda v: -v, row)
+    # M^{-1} = (1 + i) I: q'z is (1 - i) or, for a conj row, (1 + i)
+    # times a positive real, an imaginary part as large as the real one
+    with pytest.raises(PreconditionerBreakdownError):
+        tri._precond_pair(z, lambda v: (1.0 + 1.0j) * v, row)
+
+
+@pytest.mark.parametrize("variant", [CS, SS, SH, H])
+def test_init_vector_is_rotated_b_over_beta(variant):
+    # the first basis vector is rot*b / beta_1 bit for bit, across the range
+    rng = np.random.default_rng(11)
+    b = (rng.standard_normal(64) * 2.0 ** rng.integers(-40, 40, 64)
+         + 1j * rng.standard_normal(64) * 2.0 ** rng.integers(-40, 40, 64))
+    b[::7] = 0.0
+    row = tri.STRUCTURES[variant]
+    st = tri.process_init(b, row)
+    np.testing.assert_array_equal(st.v_curr, row.rotate(b) / st.beta_next)
