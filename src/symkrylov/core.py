@@ -84,10 +84,17 @@ def norm2(x: np.ndarray) -> float:
 class SparseMatrix:
     """Square sparse matrix in CSR form, built from COO triplets.
 
-    Duplicate entries are summed.  The matvec uses an unbuffered
-    scatter-add so the result does not depend on entry order.  The
-    arrays are treated as immutable once built: the row of each entry
-    is computed from indptr once, here.
+    Duplicate entries are summed.  The arrays are treated as immutable
+    once built: the row of each entry, and the slot-major copy of the
+    entries that the matvec reads, are computed here, once.
+
+    Slot-major copy: with k the length of the longest row, entry j of
+    row i sits at [j, i] of a C-contiguous (k, n) array, and a padded
+    slot holds 0 at the row's own column index.  It is kept only when
+    n > 1 and k*n <= 2*nnz (dense input and stencils; a strongly skewed
+    matrix such as an arrow keeps the scatter-add alone), a fixed
+    property of the matrix.  A (k, 1) array would be summed as one
+    contiguous run, which numpy adds pairwise, out of column order.
     """
 
     n: int
@@ -95,9 +102,21 @@ class SparseMatrix:
     indices: np.ndarray
     data: np.ndarray
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _slot_indices: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _slot_data: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        counts = np.diff(self.indptr)
+        self._rows = np.repeat(np.arange(self.n), counts)
+        k = int(counts.max(initial=0))
+        self._slot_indices = self._slot_data = None
+        if self.n > 1 and k * self.n <= 2 * self.nnz:
+            slot = np.arange(self.nnz) - self.indptr[self._rows]
+            self._slot_indices = np.empty((k, self.n), dtype=np.int64)
+            self._slot_indices[:] = np.arange(self.n)
+            self._slot_indices[slot, self._rows] = self.indices
+            self._slot_data = np.zeros((k, self.n), dtype=np.complex128)
+            self._slot_data[slot, self._rows] = self.data
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
@@ -146,6 +165,15 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.complex128).reshape(-1)
         if x.shape[0] != self.n:
             raise ValueError("matvec: length mismatch")
+        if self._slot_data is not None:
+            # each row's products summed in column order from +0.0, as
+            # the scatter-add below does, so the bits are the same: a
+            # padded slot adds 0*x_i, a signed zero that leaves every
+            # partial sum as it is (for finite x_i).  The product is
+            # formed out of place and the sum runs over axis 0, the
+            # non-contiguous one, which numpy adds in order
+            return np.add.reduce(self._slot_data * x[self._slot_indices], axis=0,
+                                 initial=0.0)
         y = np.zeros(self.n, dtype=np.complex128)
         np.add.at(y, self._rows, self.data * x[self.indices])
         return y

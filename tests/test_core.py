@@ -80,6 +80,114 @@ def test_matvec_oracles():
     np.testing.assert_array_equal(diag.matvec([1.0, 1.0]), [1j, 0.0])
 
 
+def scatter_add(m, x):
+    """The reference product: each row's products added to +0.0 in CSR
+    order by an unbuffered scatter-add."""
+    rows = np.repeat(np.arange(m.n), np.diff(m.indptr))
+    y = np.zeros(m.n, dtype=np.complex128)
+    np.add.at(y, rows, m.data * x[m.indices])
+    return y
+
+
+def assert_same_bits(y, ref):
+    # a float64 view, compared as raw bits, so that signed zeros count
+    assert y.dtype == ref.dtype and y.shape == ref.shape
+    assert y.view(np.float64).tobytes() == ref.view(np.float64).tobytes()
+
+
+def random_x(rng, n):
+    """A complex vector with some zero, negative zero and subnormal entries."""
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pick = rng.integers(0, 4, size=n)
+    x[pick == 0] = 0.0
+    x[pick == 1] = complex(-0.0, -0.0)
+    x[pick == 2] *= 1e-310
+    return x
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matvec_matches_scatter_add_bit_for_bit(seed):
+    rng = np.random.default_rng([13, seed])
+    n = int(rng.integers(1, 13))
+    count = int(rng.integers(0, 2 * n * n))
+    # drawn with replacement: duplicates, which from_coo sums, and
+    # rows left empty at low counts
+    rows, cols = rng.integers(0, n, size=count), rng.integers(0, n, size=count)
+    vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    vals[rng.integers(0, 3, size=count) == 0] = 0.0          # explicit zeros
+    if seed % 4 == 0:
+        vals *= 1e-310                                        # subnormal data
+    m = SparseMatrix.from_coo(n, rows, cols, vals)
+    # the same arrays, with the explicit zeros stored as -0.0
+    data = m.data.copy()
+    data[data == 0.0] = complex(-0.0, -0.0)
+    signed = SparseMatrix(n, m.indptr, m.indices, data)
+    for mat in (m, signed):
+        for x in (random_x(rng, n), random_x(rng, n).real + 0j):
+            assert_same_bits(mat.matvec(x), scatter_add(mat, x))
+
+
+def test_matvec_takes_the_slot_layout_on_dense_and_banded_input():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((9, 9))
+    a[a < -0.5] = 0.0
+    a[4] = 0.0                                       # an empty row
+    for mat in (a, a + 1j * rng.standard_normal((9, 9)), np.diag(rng.standard_normal(9))):
+        m = SparseMatrix.from_dense(mat)
+        assert m._slot_data is not None
+        for x in (random_x(rng, 9), random_x(rng, 9).real + 0j):
+            assert_same_bits(m.matvec(x), scatter_add(m, x))
+
+
+@pytest.mark.parametrize("m", [SparseMatrix.from_dense(np.zeros((0, 0))),
+                               SparseMatrix.from_coo(0, [], [], []),
+                               SparseMatrix.from_coo(5, [], [], []),
+                               SparseMatrix.from_dense(np.zeros((4, 4)))],
+                         ids=["dense n=0", "coo n=0", "coo nnz=0", "dense nnz=0"])
+def test_matvec_of_an_empty_matrix_is_positive_zero(m):
+    x = random_x(np.random.default_rng(15), m.n)
+    y = m.matvec(x)
+    assert_same_bits(y, scatter_add(m, x))
+    assert not np.signbit(y.view(np.float64)).any()
+
+
+def test_arrow_matrix_keeps_the_scatter_add():
+    # row 0 is full and every other row holds two entries: k*n = n**2
+    # against nnz = 3n - 2, so no (k, n) layout is built
+    n = 40
+    rng = np.random.default_rng(16)
+    a = np.diag(rng.standard_normal(n)) + 0j
+    a[0, :] = a[:, 0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = SparseMatrix.from_dense(a)
+    assert m._slot_data is None and m._slot_indices is None
+    assert all(np.ndim(v) < 2 for v in vars(m).values())
+    x = random_x(rng, n)
+    assert_same_bits(m.matvec(x), scatter_add(m, x))
+
+
+def test_one_row_of_duplicates_keeps_the_scatter_add():
+    # a (k, 1) layout would be summed as one contiguous run, pairwise,
+    # which reorders more than eight terms; a 1 x 1 matrix built as CSR
+    # with repeated column indices has such a row
+    rng = np.random.default_rng(17)
+    k = 40
+    data = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 10.0 ** rng.integers(-8, 8, k)
+    m = SparseMatrix(1, np.array([0, k]), np.zeros(k, dtype=np.int64), data)
+    x = np.array([0.75 - 1.25j])
+    assert_same_bits(m.matvec(x), scatter_add(m, x))
+    assert m._slot_data is None
+
+
+def test_padded_slot_turns_an_infinite_entry_of_x_into_nan():
+    # row 1 is one entry shorter than row 0; its padded slot reads x_1
+    m = SparseMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 0.0]]))
+    x = np.array([1.0, np.inf], dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        y, ref = m.matvec(x), scatter_add(m, x)
+    assert_same_bits(y[:1], ref[:1])
+    assert ref[1] == 3.0 and np.isnan(y[1].real)
+
+
 def test_matvec_order_independent():
     # distinct cells: entry order must not change a single bit
     rng = np.random.default_rng(11)
