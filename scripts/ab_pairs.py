@@ -15,6 +15,12 @@ REV and for the working tree.  Then, per metric: each side's median and
 quartiles, REV's interquartile range, and in how many pairs the working
 tree was better (ties count for neither side), in the direction
 BENCHMARK.json gives.
+
+`--json FILE` also stores all of it in FILE, under the workload's name,
+next to what FILE holds for other workloads (FILE is created if need
+be): the settings, each pair's metrics for both sides and the
+per-metric summary.  The BENCH_*.json files at the root of the
+repository are written this way.
 """
 
 from __future__ import annotations
@@ -39,9 +45,35 @@ def bench(tree, workload, seed, seconds):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def export(rev, dest):
+    """Write the files of git revision `rev` into the directory `dest`."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return q1, q2, q3
+
+
+def summarize(runs, better):
+    """Per metric: each side's quartiles, REV's IQR and the pairs in
+    which the working tree was better (ties count for neither side)."""
+    summary = {}
+    for name, direction in better.items():
+        rev = [r[name] for r in runs["rev"]]
+        tree = [r[name] for r in runs["tree"]]
+        sign = 1.0 if direction == "lower" else -1.0
+        (r1, r2, r3), (t1, t2, t3) = quartiles(rev), quartiles(tree)
+        summary[name] = {
+            "better": direction,
+            "rev": {"q1": r1, "median": r2, "q3": r3},
+            "tree": {"q1": t1, "median": t2, "q3": t3},
+            "rev_iqr": r3 - r1,
+            "tree_wins": sum(sign * (t - r) < 0 for r, t in zip(rev, tree)),
+        }
+    return summary
 
 
 def main(argv=None) -> int:
@@ -50,6 +82,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--json", metavar="FILE", help="also write the pairs and the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -58,9 +91,7 @@ def main(argv=None) -> int:
 
     runs = {"rev": [], "tree": []}
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        export(args.rev, tmp)
         trees = {"rev": tmp, "tree": ROOT}
         for seed in range(1, args.pairs + 1):
             order = ("rev", "tree") if seed % 2 else ("tree", "rev")
@@ -70,19 +101,29 @@ def main(argv=None) -> int:
                 f"{name} {runs['rev'][-1][name]:.4g} -> {runs['tree'][-1][name]:.4g}"
                 for name in better), flush=True)
 
+    summary = summarize(runs, better)
     print(f"{args.workload}, {args.pairs} pairs at --seconds {args.seconds:g}, "
           f"{args.rev} -> working tree:")
-    for name, direction in better.items():
-        rev = [r[name] for r in runs["rev"]]
-        tree = [r[name] for r in runs["tree"]]
-        sign = 1.0 if direction == "lower" else -1.0
-        wins = sum(sign * (t - r) < 0 for r, t in zip(rev, tree))
-        (r1, r2, r3), (t1, t2, t3) = quartiles(rev), quartiles(tree)
+    for name, m in summary.items():
+        (r1, r2, r3), (t1, t2, t3) = m["rev"].values(), m["tree"].values()
         change = f" ({(t2 - r2) / r2:+.1%})" if r2 else ""
         print(f"  {name}: median {r2:.4g} -> {t2:.4g}{change}; "
               f"quartiles {r1:.4g}-{r3:.4g} -> {t1:.4g}-{t3:.4g}; "
-              f"{args.rev} IQR {r3 - r1:.4g}; working tree {direction} in "
-              f"{wins}/{args.pairs} pairs")
+              f"{args.rev} IQR {m['rev_iqr']:.4g}; working tree {m['better']} in "
+              f"{m['tree_wins']}/{args.pairs} pairs")
+    if args.json:
+        store = {}
+        if os.path.exists(args.json):
+            with open(args.json) as fh:
+                store = json.load(fh)
+        store[args.workload] = {
+            "rev": args.rev, "pairs": args.pairs, "seconds": args.seconds,
+            "runs": [{"seed": seed, "rev": r, "tree": t}
+                     for seed, (r, t) in enumerate(zip(runs["rev"], runs["tree"]), start=1)],
+            "summary": summary}
+        with open(args.json, "w") as fh:
+            json.dump(store, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

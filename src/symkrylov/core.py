@@ -227,10 +227,13 @@ PROBE_SEED = 20260822
 def probe_symmetry(op: LinearOperator) -> float:
     """Check the declared symmetry on PROBE_PAIRS random vector pairs.
 
-    Returns the worst relative defect.  Raises StructureError (a
-    ValueError) when the operator visibly violates its declared class,
-    and NonFiniteError when a product holds NaN or Inf.
+    Returns the worst relative defect, 0.0 for an empty operator, which
+    has no vector to probe with.  Raises StructureError (a ValueError)
+    when the operator visibly violates its declared class, and
+    NonFiniteError when a product holds NaN or Inf.
     """
+    if op.n == 0:
+        return 0.0
     rng = np.random.default_rng(PROBE_SEED)
     worst = 0.0
     anorm_est = 0.0

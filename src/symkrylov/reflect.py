@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 
 class Reflection(NamedTuple):
     """Reflector [[c, s], [conj(s), -c]] with c real, c^2 + |s|^2 = 1.
@@ -41,13 +39,13 @@ def sym_ortho(a: complex, b: complex) -> Reflection:
     if absb >= absa:
         tau = absa / absb
         cpre = 1.0 / math.sqrt(1.0 + tau * tau)
-        s = cpre * sign_a * np.conj(sign_b)
+        s = cpre * sign_a * sign_b.conjugate()
         c = cpre * tau
-        r = b / np.conj(s)
+        r = b / s.conjugate()
     else:
         tau = absb / absa
         c = 1.0 / math.sqrt(1.0 + tau * tau)
-        s = c * tau * sign_a * np.conj(sign_b)
+        s = c * tau * sign_a * sign_b.conjugate()
         r = a / c
-    return Reflection(float(c), complex(s), complex(r))
+    return Reflection(c, s, r)
 

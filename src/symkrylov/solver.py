@@ -218,6 +218,15 @@ class _Driver:
         return u, alpha, sub, bn, st.beta_curr, st.beta_next
 
 
+def _abs(z) -> float:
+    """|z|, or inf where the magnitude of a finite complex z overflows:
+    abs() raises OverflowError there, np.abs returns inf."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _mu(tau, eta, mu_a, theta, mu_b, gamma):
     """One mu recurrence, (tau - eta*mu_a - theta*mu_b) / gamma; zero
     for a vanished gamma."""
@@ -276,9 +285,9 @@ class _Engine:
         the entry right of it, both after the last left reflection
         (gamma_{k+1}, delta_{k+2}); psi = phi*||(gamma, delta)|| is the
         A*r estimate for iterate k."""
-        gamma = np.conj(self.s1) * self.delta - self.c1 * alpha
+        gamma = self.s1.conjugate() * self.delta - self.c1 * alpha
         delta = -self.c1 * sup
-        return self.phi * math.hypot(abs(gamma), abs(delta)), gamma, delta
+        return self.phi * math.hypot(_abs(gamma), abs(delta)), gamma, delta
 
     def step(self, alpha, sub, sup, beta_k, beta_next) -> None:
         """Iteration k on column k of T: diagonal alpha, sub below it,
@@ -307,7 +316,7 @@ class _Engine:
         eps_k, self.eps = self.eps, self.s1 * sup
         c1, s1, gamma2 = sym_ortho(gamma_pre, sub)
         tau2 = c1 * self.tau
-        self.tau = np.conj(s1) * self.tau
+        self.tau = s1.conjugate() * self.tau
         self.phi_prev = self.phi
         self.phi = self.phi_prev * abs(s1)
         self.c1, self.s1, self.delta = c1, s1, delta_next
@@ -316,7 +325,7 @@ class _Engine:
         c2, s2, gamma6 = sym_ortho(self.gamma5, eps_k)
         theta2_km2 = self.theta2_km1
         theta2_km1 = c2 * self.theta_k + s2 * delta2
-        delta3 = np.conj(s2) * self.theta_k - c2 * delta2
+        delta3 = s2.conjugate() * self.theta_k - c2 * delta2
         eta_k = s2 * gamma2
         gamma3 = -c2 * gamma2
         c3, s3, gamma5 = sym_ortho(self.gamma4, delta3)
@@ -360,20 +369,24 @@ class _Engine:
         else:
             mu_k = _mu(tau2, eta_k, mu_km2, theta_k, mu_km1, gamma4)
         if k > 2:
-            self.chi_locked = math.hypot(self.chi_locked, abs(mu_km2))
-        chi_full = math.hypot(self.chi_locked, abs(mu_km1), abs(mu_k))
+            self.chi_locked = math.hypot(self.chi_locked, _abs(mu_km2))
+        abs_km1 = _abs(mu_km1)
+        chi_full = math.hypot(self.chi_locked, abs_km1, _abs(mu_k))
         # past the length bound the MINRES phase skips the x update; the
         # QLP phase drops trailing components until the bound holds
         fits = chi_full <= cfg.maxxnorm
         if fits:
             self.chi = chi_full
         elif self.qlp:
-            chi_part = math.hypot(self.chi_locked, abs(mu_km1))
+            chi_part = math.hypot(self.chi_locked, abs_km1)
             self.keep_km1 = chi_part <= cfg.maxxnorm
             self.chi = chi_part if self.keep_km1 else self.chi_locked
         # a NaN chi_full neither fits nor exceeds: the QLP phase stops on
         # it, the MINRES phase goes on
         self.xnorm_stop = not fits if self.qlp else chi_full > cfg.maxxnorm
+        # |tau2| <= beta1, and beta1 is below sqrt(max float) (the norm
+        # of a b scaled to entries under 1, or the root of a finite q'z),
+        # so this abs() cannot overflow
         self.omega = math.hypot(self.omega, abs(tau2))
 
         self.delta2, self.eps_k, self.gamma2, self.tau2 = delta2, eps_k, gamma2, tau2
@@ -490,8 +503,8 @@ class _Vectors:
             # w3_km1 = c3 * w_prev + s3 * w_k, w2_k = conj(s3) * w_prev - c3 * w_k
             c2, s2, c3, s3, mu = e.c2, e.s2, e.c3, e.s3, e.mu_km2
             g = np.array([[1.0, mu * c2, 0.0, mu * s2],
-                          [0.0, s3 * np.conj(s2), c3, -s3 * c2],
-                          [0.0, -c3 * np.conj(s2), np.conj(s3), c3 * c2]])
+                          [0.0, s3 * s2.conjugate(), c3, -s3 * c2],
+                          [0.0, -c3 * s2.conjugate(), s3.conjugate(), c3 * c2]])
         r, lo, hi, coef = self.r, self.lo, self.hi, self.coef
         coef[:, lo:hi] = g[:, :3] @ coef[:, lo:hi]
         coef[:, r] = g[:, 3]
@@ -531,7 +544,7 @@ def _transfer_map(e: _Engine) -> np.ndarray:
     w4_km2 = np.array([0.0, e.gamma6, e.theta2_km1, 0.0]) + e.s2 * u_num
     w3_km1 = np.array([0.0, 0.0, e.gamma5, 0.0]) - (e.c2 * e.s3) * u_num
     w2_k = (e.c2 * e.c3) * u_num
-    w_k = np.conj(e.s3) * w3_km1 - e.c3 * w2_k
+    w_k = e.s3.conjugate() * w3_km1 - e.c3 * w2_k
     x2 = (np.array([1.0, 0.0, 0.0, 0.0])
           - e.mu_l * (e.c2 * w4_km2 + e.s2 * w_k)                # w_{k-2}^{(3)}
           - e.mu_c * (e.c3 * w3_km1 + e.s3 * w2_k))             # w_{k-1}^{(2)}

@@ -275,3 +275,10 @@ def test_probe_invariant_random_symmetric(n, s):
     base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     op = LinearOperator.from_matrix(base + base.T, SymmetryClass.COMPLEX_SYMMETRIC)
     assert probe_symmetry(op) <= 1e-10
+
+
+def test_probe_of_an_empty_operator_is_zero():
+    for cls in SymmetryClass:
+        op = LinearOperator(0, cls, lambda x: x)
+        assert probe_symmetry(op) == 0.0
+        assert op._applies == 0

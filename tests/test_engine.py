@@ -13,7 +13,7 @@ from symkrylov import solver
 from symkrylov.core import EPS
 from symkrylov.oracle import SplitMix64, dense_qlp, suite_problem
 from symkrylov.precond import Diagonal
-from symkrylov.solver import SolverConfig, _Engine, solve
+from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, _Engine, solve
 
 K = 12
 
@@ -69,6 +69,9 @@ def test_engine_matches_dense_qlp_and_least_squares(kind, seed):
         assert engine.chi == pytest.approx(np.linalg.norm(y), rel=1e-12)
 
 
+FAMILIES = (("cs-h", 30), ("cs-m", 30), ("ss", 31), ("sh", 31))
+
+
 def scalar_outputs(report, records):
     """The bits of every output that is not a vector."""
     out = [(f.name, np.asarray(getattr(report, f.name)).tobytes())
@@ -83,7 +86,7 @@ def scalar_outputs(report, records):
 @pytest.mark.parametrize("preconditioned", [False, True])
 def test_engine_reads_no_vector(monkeypatch, trancond, preconditioned):
     problems = [suite_problem(family, n, index, 42424242, compatible)
-                for family, n in (("cs-h", 30), ("cs-m", 30), ("ss", 31), ("sh", 31))
+                for family, n in FAMILIES
                 for index, compatible in ((0, True), (1, False))]
     config = SolverConfig(tol=EPS, trancond=trancond)
 
@@ -104,3 +107,59 @@ def test_engine_reads_no_vector(monkeypatch, trancond, preconditioned):
     if trancond > 1.0:
         # the set also moves from the MINRES phase to the QLP phase mid-run
         assert any(transfer > 1 for transfer, _ in real)
+
+
+def assert_python_scalars(engine):
+    """Every register holds a Python bool, int, float or complex (or a
+    tuple of them), never a numpy scalar; np.float64 and np.complex128
+    subclass float and complex, so the type is checked exactly."""
+    for name in _Engine.__slots__:
+        if name == "cfg" or not hasattr(engine, name):
+            continue
+        value = getattr(engine, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            assert type(v) in (bool, int, float, complex), (name, type(v))
+
+
+@pytest.mark.parametrize("trancond", [1.0, 1e7])
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("family, n", FAMILIES + (("hermitian", 31),))
+def test_engine_registers_are_python_scalars(monkeypatch, family, n, preconditioned, trancond):
+    steps = []
+    real_step = _Engine.step
+
+    def step(self, *column):
+        real_step(self, *column)
+        assert_python_scalars(self)
+        steps.append(self.qlp)
+    monkeypatch.setattr(_Engine, "step", step)
+    for index, compatible in ((0, True), (1, False)):
+        if family == "hermitian":
+            # i times a skew Hermitian matrix is Hermitian
+            p = suite_problem("sh", n, index, 42424242, compatible)
+            a, variant = 1j * p.a, "hermitian"
+        else:
+            p = suite_problem(family, n, index, 42424242, compatible)
+            a, variant = p.a, p.variant
+        m = Diagonal(0.5 + SplitMix64(2031).uniforms(n)) if preconditioned else None
+        solve(a, p.b, variant, SolverConfig(tol=EPS, trancond=trancond), preconditioner=m)
+    assert steps and (all(steps) if trancond == 1.0 else not steps[0])
+
+
+@pytest.mark.parametrize("variant", ["hermitian", "cs"])
+@pytest.mark.parametrize("k, reason", [
+    (-1070, StopReason.NonFinite), (-1060, StopReason.NonFinite),
+    # GammaZero compares the revealed diagonal with eps in absolute
+    # terms, so a tiny operator stops at once (not unit free)
+    (-1000, StopReason.GammaZero), (-600, StopReason.GammaZero),
+    (600, StopReason.Converged_Rnorm), (1000, StopReason.Converged_Rnorm),
+])
+def test_scaled_operator_raises_nothing(variant, k, reason):
+    # Python complex abs() raises OverflowError where np.abs returns
+    # inf; over this range of operator scales no register gets there
+    a = np.ldexp(np.diag(np.arange(1.0, 9.0)), k)
+    with np.errstate(all="ignore"):
+        r = solve(a, np.ones(8), variant, SolverConfig(maxxnorm=np.inf))
+    assert r.reason is reason
+    if reason in CONVERGED_REASONS:
+        assert np.isfinite(r.x).all()

@@ -134,6 +134,16 @@ def test_default_maxit_of_empty_operator_rejected():
         solve(op, np.zeros(0))
 
 
+@pytest.mark.parametrize("a, variant", [
+    (LinearOperator(0, SymmetryClass.HERMITIAN, lambda x: x), None),
+    (np.zeros((0, 0)), "cs"),
+], ids=["operator", "dense"])
+def test_empty_operator_returns_beta_zero(a, variant):
+    r = solve(a, np.zeros(0), variant, SolverConfig(maxit=3))
+    assert r.reason is StopReason.BetaZero_xZero
+    assert r.x.shape == (0,) and r.iterations == 0
+
+
 @pytest.mark.parametrize("name", ["tol", "maxxnorm", "maxcond", "trancond"])
 def test_nan_option_rejected(name):
     with pytest.raises(ValueError, match=name):
