@@ -11,6 +11,15 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
+# SparseMatrix keeps a slot-major copy when k*n <= SLOT_PADDING*nnz, k the
+# longest row.  scripts/slot_threshold.py, stencils with some long rows:
+# at n = 2*10**4 and 2*10**5 the slot product took 0.88-0.92 of the
+# scatter-add's time at padding k*n/nnz = 1.2, 1.00-1.05 at 1.4 and
+# 1.04-1.25 at 1.6; at n <= 2000 it still won at 1.6.  1.2 is the largest
+# padding measured faster at every n
+SLOT_PADDING = 1.2
+_GATHER_FIRST_NNZ = 1 << 14       # see SparseMatrix._products
+
 
 class PreconditionerBreakdownError(RuntimeError):
     """An inner product that must be positive real came out otherwise."""
@@ -90,9 +99,11 @@ class SparseMatrix:
 
     Slot-major copy: with k the length of the longest row, entry j of
     row i sits at [j, i] of a C-contiguous (k, n) array, and a padded
-    slot holds 0 at the row's own column index.  It is kept only when
-    n > 1 and k*n <= 2*nnz (dense input and stencils; a strongly skewed
-    matrix such as an arrow keeps the scatter-add alone), a fixed
+    slot holds 0 at the row's own column index.  It costs 24*k*n bytes
+    (index and value), at most 24*SLOT_PADDING = 28.8 bytes per entry
+    beside the 32 of the CSR arrays and row numbers.  It is kept only
+    when n > 1 and k*n <= SLOT_PADDING*nnz (dense input and stencils; a
+    skewed matrix such as an arrow keeps the scatter-add alone), a fixed
     property of the matrix.  A (k, 1) array would be summed as one
     contiguous run, which numpy adds pairwise, out of column order.
     """
@@ -110,13 +121,18 @@ class SparseMatrix:
         self._rows = np.repeat(np.arange(self.n), counts)
         k = int(counts.max(initial=0))
         self._slot_indices = self._slot_data = None
-        if self.n > 1 and k * self.n <= 2 * self.nnz:
-            slot = np.arange(self.nnz) - self.indptr[self._rows]
-            self._slot_indices = np.empty((k, self.n), dtype=np.int64)
-            self._slot_indices[:] = np.arange(self.n)
-            self._slot_indices[slot, self._rows] = self.indices
-            self._slot_data = np.zeros((k, self.n), dtype=np.complex128)
-            self._slot_data[slot, self._rows] = self.data
+        if self.n > 1 and k * self.n <= SLOT_PADDING * self.nnz:
+            self._slot_indices, self._slot_data = self._slot_layout(k)
+
+    def _slot_layout(self, k: int):
+        """The (k, n) slot-major index and value arrays, k >= the longest row."""
+        slot = np.arange(self.nnz) - self.indptr[self._rows]
+        indices = np.empty((k, self.n), dtype=np.int64)
+        indices[:] = np.arange(self.n)
+        indices[slot, self._rows] = self.indices
+        data = np.zeros((k, self.n), dtype=np.complex128)
+        data[slot, self._rows] = self.data
+        return indices, data
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
@@ -169,14 +185,26 @@ class SparseMatrix:
             # each row's products summed in column order from +0.0, as
             # the scatter-add below does, so the bits are the same: a
             # padded slot adds 0*x_i, a signed zero that leaves every
-            # partial sum as it is (for finite x_i).  The product is
-            # formed out of place and the sum runs over axis 0, the
-            # non-contiguous one, which numpy adds in order
-            return np.add.reduce(self._slot_data * x[self._slot_indices], axis=0,
+            # partial sum as it is (for finite x_i).  The sum runs over
+            # axis 0, the non-contiguous one, which numpy adds in order
+            gathered = x[self._slot_indices]
+            return np.add.reduce(self._products(self._slot_data, gathered), axis=0,
                                  initial=0.0)
+        gathered = x[self.indices]
         y = np.zeros(self.n, dtype=np.complex128)
-        np.add.at(y, self._rows, self.data * x[self.indices])
+        np.add.at(y, self._rows, self._products(self.data, gathered))
         return y
+
+    def _products(self, data: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+        # numpy's complex multiply uses FMA where the CPU has it, so a*b
+        # and b*a can differ in the last bit of the imaginary part.  The
+        # plain `data * x[indices]` let numpy reuse the gathered temporary
+        # from 2**14 entries (256 KiB) on, which computes x[indices] * data
+        # instead.  Both paths take that order explicitly, by nnz, so they
+        # agree at every size and keep the bits of the plain expression
+        if self.nnz >= _GATHER_FIRST_NNZ:
+            return gathered * data
+        return data * gathered
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.complex128)

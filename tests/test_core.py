@@ -130,13 +130,35 @@ def test_matvec_matches_scatter_add_bit_for_bit(seed):
 def test_matvec_takes_the_slot_layout_on_dense_and_banded_input():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((9, 9))
-    a[a < -0.5] = 0.0
     a[4] = 0.0                                       # an empty row
+    a[2, 5] = a[7, 1] = a[3, 3] = 0.0                # padding 81/69 <= 1.2
     for mat in (a, a + 1j * rng.standard_normal((9, 9)), np.diag(rng.standard_normal(9))):
         m = SparseMatrix.from_dense(mat)
         assert m._slot_data is not None
         for x in (random_x(rng, 9), random_x(rng, 9).real + 0j):
             assert_same_bits(m.matvec(x), scatter_add(m, x))
+
+
+@pytest.mark.parametrize("n, every", [(2800, 7), (4000, 0)],
+                         ids=["k*n above 2**14, nnz below", "nnz above 2**14"])
+def test_matvec_matches_scatter_add_where_numpy_reuses_temporaries(n, every):
+    # numpy reuses a temporary of 2**14 or more complex entries in place,
+    # which swaps the operands of data * x[indices]; complex products are
+    # not commutative bit for bit where numpy uses FMA.  A band of five
+    # diagonals, with a sixth entry in every 7th row for the first case,
+    # keeps the slot layout (padding 1.17 and 1.0) on both sides of that size
+    offsets = range(-2, 3)
+    rows = np.concatenate([np.arange(max(0, -o), n - max(0, o)) for o in offsets])
+    cols = np.concatenate([np.arange(max(0, o), n + min(0, o)) for o in offsets])
+    if every:
+        extra = np.arange(0, n, every)
+        rows, cols = np.concatenate([rows, extra]), np.concatenate([cols, (extra + n // 2) % n])
+    rng = np.random.default_rng(18)
+    vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    m = SparseMatrix.from_coo(n, rows, cols, vals)
+    assert m._slot_data is not None
+    for x in (random_x(rng, n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        assert_same_bits(m.matvec(x), scatter_add(m, x))
 
 
 @pytest.mark.parametrize("m", [SparseMatrix.from_dense(np.zeros((0, 0))),
@@ -179,13 +201,17 @@ def test_one_row_of_duplicates_keeps_the_scatter_add():
 
 
 def test_padded_slot_turns_an_infinite_entry_of_x_into_nan():
-    # row 1 is one entry shorter than row 0; its padded slot reads x_1
-    m = SparseMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 0.0]]))
-    x = np.array([1.0, np.inf], dtype=np.complex128)
+    # row 1 lacks column 1 and is one entry shorter than the others; its
+    # padded slot reads x_1
+    a = np.arange(1.0, 17.0).reshape(4, 4)
+    a[1, 1] = 0.0
+    m = SparseMatrix.from_dense(a)
+    assert m._slot_data is not None
+    x = np.array([1.0, np.inf, 1.0, 1.0], dtype=np.complex128)
     with np.errstate(invalid="ignore"):
         y, ref = m.matvec(x), scatter_add(m, x)
-    assert_same_bits(y[:1], ref[:1])
-    assert ref[1] == 3.0 and np.isnan(y[1].real)
+    assert_same_bits(y[[0, 2, 3]], ref[[0, 2, 3]])
+    assert ref[1] == 5.0 + 7.0 + 8.0 and np.isnan(y[1].real)
 
 
 def test_matvec_order_independent():
