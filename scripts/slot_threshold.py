@@ -1,6 +1,6 @@
 """Time the slot-major CSR product against the scatter-add, by padding.
 
-    PYTHONPATH=src python3 scripts/slot_threshold.py [--n N ...] [--repeat R]
+    python3 scripts/slot_threshold.py [--n N ...] [--repeat R] [--seed S]
 
 `SparseMatrix` keeps a (k, n) slot-major copy of its entries, k the
 longest row, only when k*n <= SLOT_PADDING*nnz (see core.py).  The slot

@@ -200,10 +200,11 @@ class SparseMatrix:
         # and b*a can differ in the last bit of the imaginary part.  The
         # plain `data * x[indices]` let numpy reuse the gathered temporary
         # from 2**14 entries (256 KiB) on, which computes x[indices] * data
-        # instead.  Both paths take that order explicitly, by nnz, so they
-        # agree at every size and keep the bits of the plain expression
+        # into it instead.  Both paths do the same explicitly, by nnz, so
+        # they agree at every size, keep the bits of the plain expression
+        # and hold one temporary of the product's size, not two
         if self.nnz >= _GATHER_FIRST_NNZ:
-            return gathered * data
+            return np.multiply(gathered, data, out=gathered)
         return data * gathered
 
     def to_dense(self) -> np.ndarray:
