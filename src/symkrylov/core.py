@@ -197,12 +197,12 @@ class SparseMatrix:
 
     def _products(self, data: np.ndarray, gathered: np.ndarray) -> np.ndarray:
         # numpy's complex multiply uses FMA where the CPU has it, so a*b
-        # and b*a can differ in the last bit of the imaginary part.  The
-        # plain `data * x[indices]` let numpy reuse the gathered temporary
-        # from 2**14 entries (256 KiB) on, which computes x[indices] * data
-        # into it instead.  Both paths do the same explicitly, by nnz, so
-        # they agree at every size, keep the bits of the plain expression
-        # and hold one temporary of the product's size, not two
+        # and b*a can differ in the last bit of the imaginary part.  A
+        # plain `data * x[indices]` lets numpy reuse the gathered temporary
+        # from 2**14 entries (256 KiB) on, computing x[indices] * data into
+        # it.  Both paths do that explicitly, chosen by nnz, so they agree
+        # at every size, give the plain expression's bits and hold one
+        # temporary of the product's size, not two
         if self.nnz >= _GATHER_FIRST_NNZ:
             return np.multiply(gathered, data, out=gathered)
         return data * gathered
