@@ -5,10 +5,12 @@
 
 REV (any git revision, e.g. HEAD) is exported with `git archive` to a
 temporary directory, as scripts/compare_iterates.py does.  Pair i
-(i = 1..N) runs `python3 bench/run.py --workload W --seed i --seconds S`
-once in each tree, each in its own interpreter importing its own src/;
-REV runs first in odd pairs and the working tree first in even ones, so
-a drift in the host's speed does not favour one side.
+(i = 1..N) runs `python3 bench/run.py --workload W --seed K+i-1
+--seconds S` once in each tree, each in its own interpreter importing
+its own src/; K is `--first-seed` (default 1), so a claim can be
+rechecked on seeds not used while the change was written.  REV runs
+first in odd pairs and the working tree first in even ones, so a drift
+in the host's speed does not favour one side.
 
 One line per pair gives the end-to-end metrics BENCHMARK.json names, for
 REV and for the working tree.  Then, per metric: each side's median and
@@ -82,6 +84,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of pair 1 (default 1)")
     parser.add_argument("--json", metavar="FILE", help="also write the pairs and the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -93,16 +96,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, tmp)
         trees = {"rev": tmp, "tree": ROOT}
-        for seed in range(1, args.pairs + 1):
-            order = ("rev", "tree") if seed % 2 else ("tree", "rev")
+        for pair in range(1, args.pairs + 1):
+            seed = args.first_seed + pair - 1
+            order = ("rev", "tree") if pair % 2 else ("tree", "rev")
             for side in order:
                 runs[side].append(bench(trees[side], args.workload, seed, args.seconds))
-            print(f"pair {seed} (seed {seed}, {order[0]} first): " + "; ".join(
+            print(f"pair {pair} (seed {seed}, {order[0]} first): " + "; ".join(
                 f"{name} {runs['rev'][-1][name]:.4g} -> {runs['tree'][-1][name]:.4g}"
                 for name in better), flush=True)
 
     summary = summarize(runs, better)
-    print(f"{args.workload}, {args.pairs} pairs at --seconds {args.seconds:g}, "
+    print(f"{args.workload}, {args.pairs} pairs from seed {args.first_seed} "
+          f"at --seconds {args.seconds:g}, "
           f"{args.rev} -> working tree:")
     for name, m in summary.items():
         (r1, r2, r3), (t1, t2, t3) = m["rev"].values(), m["tree"].values()
@@ -119,7 +124,8 @@ def main(argv=None) -> int:
         store[args.workload] = {
             "rev": args.rev, "pairs": args.pairs, "seconds": args.seconds,
             "runs": [{"seed": seed, "rev": r, "tree": t}
-                     for seed, (r, t) in enumerate(zip(runs["rev"], runs["tree"]), start=1)],
+                     for seed, (r, t) in enumerate(zip(runs["rev"], runs["tree"]),
+                                                   start=args.first_seed)],
             "summary": summary}
         with open(args.json, "w") as fh:
             json.dump(store, fh, indent=1)

@@ -22,7 +22,12 @@ The set:
   * a small fixed block of solves, built as in tests/, that stop for
     each of the eight reasons the sets above do not reach (stop_runs),
     with and without a monitor, plus an entry with a NaN tol, which
-    records the ValueError it raises.
+    records the ValueError it raises;
+  * a generator block, which runs no solve: every suite problem the
+    bench/ suite-dense workload builds at seeds 1-20 (four families,
+    both halves, GENERATOR_PER_HALF per half), each recorded as a sha256
+    of a.tobytes() + b.tobytes() and its rank, so a change to the problem
+    generator is checked directly, not only through the iterates.
 Before the summary line, one line tallies the stop reasons of the
 working tree's solves and one counts the problems that differ in arrays
 only, with their largest x gap, against those that differ in a
@@ -32,6 +37,8 @@ non-array output.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import math
 import os
 import pickle
 import subprocess
@@ -49,6 +56,8 @@ FAMILIES = (("cs-h", 50), ("cs-m", 50), ("ss", 51), ("sh", 51))
 SEEDS = (1, 2, 3)
 PER_HALF = 2
 BENCH_SEED = 1
+GENERATOR_SEEDS = range(1, 21)
+GENERATOR_PER_HALF = 10
 SMALL_XNORM = 2.0     # below the solution norm of every compatible suite problem
 SHIFT = 0.05 + 0.02j
 TESTS_SEED = 42424242   # SEED of tests/test_solver.py and tests/test_ownership.py
@@ -188,6 +197,22 @@ def stop_runs():
             yield f"stop {name}{' monitor' if monitored else ''}", run
 
 
+def generator_runs():
+    """(problem id, thunk) giving each generated problem's digest and rank."""
+    from symkrylov.oracle import suite_problem
+
+    for family, n in FAMILIES:
+        for seed in GENERATOR_SEEDS:
+            for compatible in (True, False):
+                for index in range(GENERATOR_PER_HALF):
+                    def run(family=family, n=n, index=index, seed=seed, compatible=compatible):
+                        p = suite_problem(family, n, index, seed, compatible)
+                        digest = hashlib.sha256(p.a.tobytes() + p.b.tobytes()).hexdigest()
+                        return [("sha256", digest), ("rank", p.rank)]
+                    half = "compat" if compatible else "lsq"
+                    yield f"generator {family} seed{seed} {half}{index}", run
+
+
 def bench_runs(tree):
     sys.path.insert(0, os.path.join(tree, "bench"))
     from workloads import WORKLOADS
@@ -204,7 +229,7 @@ def collect(tree, out_path):
     """Run the set on the package under `tree` and pickle the outputs."""
     sys.path.insert(0, os.path.join(tree, "src"))
     results = {}
-    runs = list(suite_runs()) + list(stop_runs())
+    runs = list(suite_runs()) + list(stop_runs()) + list(generator_runs())
     if os.path.isdir(os.path.join(tree, "bench")):
         runs += list(bench_runs(tree))
     for pid, run in runs:
@@ -230,12 +255,16 @@ def first_difference(a, b):
 
 def x_gap(a, b):
     """||x - x_REV|| / ||x_REV|| for two solves' outputs, or None when
-    either one raised."""
+    either one raised.  A zero x_REV gives 0.0 when x is zero too and
+    inf otherwise."""
     a, b = dict(a), dict(b)
     if "x" not in a or "x" not in b:
         return None
     x, x_rev = (np.frombuffer(v[3], dtype=v[1]).reshape(v[2]) for v in (a["x"], b["x"]))
-    return float(np.linalg.norm(x - x_rev) / np.linalg.norm(x_rev))
+    gap, base = np.linalg.norm(x - x_rev), np.linalg.norm(x_rev)
+    if base == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return float(gap / base)
 
 
 def scalar_differs(a, b):

@@ -3,13 +3,18 @@
 The reference route goes through numpy's SVD/QR factorizations and
 never touches the iterative engine, so the two can check each other.
 Problem generation uses a self-contained SplitMix64 stream to stay
-bit-reproducible across numpy versions.
+bit-reproducible across numpy versions.  Its block draws (`uniforms`,
+`gaussians`) give the bits of the scalar stream: numpy does only the
+correctly rounded steps (wrapping integer arithmetic, `sqrt`, `*`, `-`),
+while `log`, `cos`, `sin` and `10.0 ** x` are libm calls made per
+element from Python, since numpy's own versions may round differently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -17,13 +22,18 @@ import numpy as np
 from .core import EPS, SymmetryClass
 
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
     """64-bit SplitMix generator (Steele et al. constants).
 
     uniform() maps the top 53 bits onto [0, 1); gaussians come from
-    Box-Muller on a pair of uniforms.
+    Box-Muller on a pair of uniforms.  The scalar methods define the
+    stream; uniforms(n) and gaussians(n) draw a block of it at once,
+    bit for bit, and leave the same state behind.
     """
 
     def __init__(self, seed: int):
@@ -31,17 +41,26 @@ class SplitMix64:
         self._spare: Optional[float] = None
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GOLDEN) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+        # state k of the block is state + k*golden, in wrapping uint64
+        z = np.uint64(self.state) + np.uint64(_GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
+        if n:
+            self.state = int(z[-1])
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def gaussian(self) -> float:
         if self._spare is not None:
@@ -56,7 +75,29 @@ class SplitMix64:
         return r * math.cos(2.0 * math.pi * u2)
 
     def gaussians(self, n: int) -> np.ndarray:
-        return np.array([self.gaussian() for _ in range(n)], dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        if n and self._spare is not None:
+            out[0], self._spare = self._spare, None
+            start = 1
+        pairs = (n - start + 1) // 2
+        state = self.state
+        u = self.uniforms(2 * pairs)
+        u1, u2 = u[0::2], u[1::2]
+        if np.any(u1 == 0.0):
+            # the scalar loop redraws a zero u1, which shifts the pairs
+            self.state = state
+            out[start:] = [self.gaussian() for _ in range(n - start)]
+            return out
+        r = np.sqrt(-2.0 * np.array([math.log(v) for v in u1.tolist()]))
+        theta = (2.0 * math.pi * u2).tolist()
+        g = np.empty(2 * pairs, dtype=np.float64)
+        g[0::2] = r * np.array([math.cos(t) for t in theta])
+        g[1::2] = r * np.array([math.sin(t) for t in theta])
+        out[start:] = g[:n - start]
+        if n - start < 2 * pairs:
+            self._spare = float(g[-1])
+        return out
 
 
 def haar_orthogonal(n: int, rng: SplitMix64) -> np.ndarray:
@@ -72,9 +113,9 @@ def haar_orthogonal(n: int, rng: SplitMix64) -> np.ndarray:
 def _spectrum(n: int, rank: int, rng: SplitMix64) -> np.ndarray:
     """rank nonzero eigenvalues, magnitudes log-uniform in [1e-3, 1]."""
     lam = np.zeros(n, dtype=np.float64)
-    for i in range(rank):
-        mag = 10.0 ** (-3.0 * rng.uniform())
-        lam[i] = mag if rng.uniform() < 0.5 else -mag
+    u = rng.uniforms(2 * rank)
+    mag = np.array([10.0 ** x for x in (-3.0 * u[0::2]).tolist()])
+    lam[:rank] = np.where(u[1::2] < 0.5, mag, -mag)
     return lam
 
 
@@ -95,9 +136,8 @@ def mixed_spectrum_matrix(n: int, rank: int, rng: SplitMix64) -> np.ndarray:
     lam = _spectrum(n, rank, rng)
     top = float(np.max(np.abs(lam))) if rank else 0.0
     d = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        if lam[i] != 0.0:
-            d[i] = (2.0 * rng.uniform() - 1.0) * top
+    support = np.flatnonzero(lam)
+    d[support] = (2.0 * rng.uniforms(support.size) - 1.0) * top
     a = (q * (d + 1j * lam)) @ q.T
     return 0.5 * (a + a.T)
 
@@ -175,7 +215,11 @@ class GeneratedProblem:
     a: np.ndarray
     b: np.ndarray
     compatible: bool
-    rank: int
+
+    @cached_property
+    def rank(self) -> int:
+        """numerical_rank(a), computed on first read."""
+        return numerical_rank(self.a)
 
 
 _FAMILY_CODE = {"cs-h": 1, "cs-m": 2, "ss": 3, "sh": 4}
@@ -189,7 +233,7 @@ _FAMILY_VARIANT = {
 
 
 def _stream(seed: int, family: str, index: int, compatible: bool) -> SplitMix64:
-    mixed = (seed * 0x9E3779B97F4A7C15 + _FAMILY_CODE[family] * 65537
+    mixed = (seed * _GOLDEN + _FAMILY_CODE[family] * 65537
              + index * 2 + int(compatible)) & _MASK
     return SplitMix64(mixed)
 
@@ -223,5 +267,4 @@ def suite_problem(family: str, n: int, index: int, seed: int,
         a=a,
         b=b,
         compatible=compatible,
-        rank=numerical_rank(a),
     )

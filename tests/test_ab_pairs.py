@@ -84,3 +84,15 @@ def test_no_json_writes_nothing(ab_pairs, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ab_pairs.main(["r", "--workload", "w1", "--pairs", "1", "--seconds", "1"])
     assert os.listdir(tmp_path) == []
+
+
+def test_first_seed_shifts_the_seeds_not_the_order(ab_pairs, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    ab_pairs.main(["r", "--workload", "w1", "--pairs", "2", "--seconds", "1",
+                   "--first-seed", "2", "--json", str(out)])
+    assert ab_pairs.calls == [("rev", "w1", 2, 1.0), ("tree", "w1", 2, 1.0),
+                              ("tree", "w1", 3, 1.0), ("rev", "w1", 3, 1.0)]
+    assert "pair 1 (seed 2, rev first)" in capsys.readouterr().out
+    runs = json.loads(out.read_text())["w1"]["runs"]
+    assert [run["seed"] for run in runs] == [2, 3]
+    assert [run["tree"]["solve_s"] for run in runs] == [2.5, 2.0]

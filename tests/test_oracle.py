@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -45,6 +47,65 @@ def test_splitmix_streams_deterministic(s):
     b = SplitMix64(s).uniforms(8)
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0.0) and np.all(a < 1.0)
+
+
+def scalar_draws(rng, kind, n):
+    """n draws of the reference stream, one scalar call at a time."""
+    draw = rng.uniform if kind == "u" else rng.gaussian
+    return np.array([draw() for _ in range(n)], dtype=np.float64)
+
+
+def assert_same_draws(block, scalar, calls):
+    for kind, n in calls:
+        got = block.uniforms(n) if kind == "u" else block.gaussians(n)
+        want = scalar_draws(scalar, kind, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert block.state == scalar.state
+        assert block._spare == scalar._spare
+
+
+CALL = st.tuples(st.sampled_from("ug"),
+                 st.one_of(st.integers(0, 9), st.sampled_from([257, 1000, 2601])))
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(CALL, max_size=8))
+@seed(2027)
+@settings(max_examples=60, deadline=None)
+def test_block_draws_match_scalar_stream(s, calls):
+    # odd gaussian counts leave a spare pending for the next call
+    assert_same_draws(SplitMix64(s), SplitMix64(s), calls)
+
+
+def invert_finalizer(out):
+    """The state whose SplitMix64 output is `out`."""
+    mask = 2**64 - 1
+
+    def unshift(z, k):
+        # inverse of z ^ (z >> k): apply the shift until it runs out of bits
+        y = z
+        for _ in range(64 // k):
+            y = z ^ (y >> k)
+        return y
+
+    z = unshift(out, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+
+
+@pytest.mark.parametrize("pair, spare", [(0, False), (3, False), (3, True), (6, True)])
+def test_gaussians_zero_u1_takes_the_redraw(pair, spare):
+    # u1 of Box-Muller pair `pair` (uniform 2*pair) is exactly 0.0: the
+    # scalar loop redraws it, and the block draw must do the same
+    golden = 0x9E3779B97F4A7C15
+    state = invert_finalizer(0x5A5) - (2 * pair + 1) * golden
+    probe = SplitMix64(0)
+    probe.state = state & (2**64 - 1)
+    assert probe.uniforms(2 * pair + 1)[-1] == 0.0
+    block, scalar = SplitMix64(0), SplitMix64(0)
+    block.state = scalar.state = state & (2**64 - 1)
+    if spare:
+        block._spare = scalar._spare = 0.25
+    assert_same_draws(block, scalar, [("g", 2 * pair + 5), ("g", 3), ("u", 2)])
 
 
 def test_gaussians_have_sane_moments():
@@ -184,6 +245,12 @@ def test_suite_problem_families():
         assert p.variant is variant and p.n == n
         assert p.rank < n
         assert p.id.startswith(f"{fam}-n{n}-i")
+
+
+def test_suite_problem_rank_is_numerical_rank():
+    for fam, n in (("cs-h", 20), ("cs-m", 20), ("ss", 21), ("sh", 21)):
+        p = suite_problem(fam, n, 2, 3, False)
+        assert p.rank == numerical_rank(p.a)
 
 
 def test_suite_problem_compatible_b_in_range():
