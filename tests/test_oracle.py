@@ -97,12 +97,10 @@ def test_gaussians_zero_u1_takes_the_redraw(pair, spare):
     # u1 of Box-Muller pair `pair` (uniform 2*pair) is exactly 0.0: the
     # scalar loop redraws it, and the block draw must do the same
     golden = 0x9E3779B97F4A7C15
-    state = invert_finalizer(0x5A5) - (2 * pair + 1) * golden
-    probe = SplitMix64(0)
-    probe.state = state & (2**64 - 1)
-    assert probe.uniforms(2 * pair + 1)[-1] == 0.0
-    block, scalar = SplitMix64(0), SplitMix64(0)
-    block.state = scalar.state = state & (2**64 - 1)
+    state = (invert_finalizer(0x5A5) - (2 * pair + 1) * golden) % 2**64
+    probe = SplitMix64(state)
+    assert [probe.uniform() for _ in range(2 * pair + 1)][-1] == 0.0
+    block, scalar = SplitMix64(state), SplitMix64(state)
     if spare:
         block._spare = scalar._spare = 0.25
     assert_same_draws(block, scalar, [("g", 2 * pair + 5), ("g", 3), ("u", 2)])
