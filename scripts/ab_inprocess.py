@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Alternating suite-dense passes of REV and the working tree in one process.
+
+    python3 scripts/ab_inprocess.py REV [--rounds R] [--per-half P] [--seed S]
+
+REV (any git revision, e.g. HEAD) is exported with `git archive` to a
+temporary directory, and its src/symkrylov is imported as the package
+`symkrylov_rev`, next to the working tree's `symkrylov`.  The problems
+are the bench/ suite-dense workload's (`SuiteDense(per_half=P)` built at
+seed S), generated once and handed to both packages.  Each round runs
+one pass over them with each package, REV first in odd rounds and the
+working tree first in even ones, after one untimed warm-up pass each.
+
+Both packages then see the same host at nearly the same moment, which
+separate benchmark processes do not: the ratio of the two passes of a
+round is much less noisy than either time.  Each round's reports must
+agree bit for bit (x, reason, iterations and every estimate); the
+script stops with exit status 1 at the first that does not.  It prints
+one line per round, then each side's median pass time and the
+quartiles of the paired ratio working tree / REV.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib.util
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from enum import Enum
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import symkrylov  # noqa: E402
+from workloads import SuiteDense  # noqa: E402
+
+REV_PACKAGE = "symkrylov_rev"
+
+
+def export(rev, dest):
+    """Write the files of git revision `rev` into the directory `dest`."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def load_package(src, name):
+    """Import the package src/symkrylov under the module name `name`."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    pkg = os.path.join(src, "symkrylov")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def bits(value):
+    """A report field reduced to what its bits are compared by."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, Enum):                       # each side's own StopReason
+        return value.value
+    if isinstance(value, (float, complex)):
+        return np.complex128(value).tobytes()
+    return value
+
+
+def first_difference(problems, rev_reports, tree_reports):
+    """'problem field' of the first report field whose bits differ, or None."""
+    for p, rev, tree in zip(problems, rev_reports, tree_reports):
+        for f in dataclasses.fields(tree):
+            if bits(getattr(rev, f.name)) != bits(getattr(tree, f.name)):
+                return f"{p.id} {f.name}"
+    return None
+
+
+class Side:
+    """One package's pass over the problems, with its own config objects."""
+
+    def __init__(self, package, workload):
+        self.solve = package.solve
+        self.configs = [package.SolverConfig(**dataclasses.asdict(c)) for c in workload.configs]
+        self.problems = workload.problems
+
+    def run(self):
+        """(seconds, reports) of one pass, timed as bench/run.py times a sample."""
+        gc.collect()
+        t0 = time.perf_counter()
+        reports = [self.solve(p.a, p.b, p.variant.value, c, reorthogonalize=not p.compatible)
+                   for p, c in zip(self.problems, self.configs)]
+        return time.perf_counter() - t0, reports
+
+
+def compare(rev_src, rounds, per_half, seed, label):
+    """Run the rounds against the package under rev_src; 0 when every
+    report agreed bit for bit, else 1."""
+    workload = SuiteDense(per_half=per_half)
+    workload.build(seed)
+    sides = {"rev": Side(load_package(rev_src, REV_PACKAGE), workload),
+             "tree": Side(symkrylov, workload)}
+    for side in sides.values():
+        side.run()
+    times = {"rev": [], "tree": []}
+    for i in range(1, rounds + 1):
+        order = ("rev", "tree") if i % 2 else ("tree", "rev")
+        reports = {}
+        for name in order:
+            dt, reports[name] = sides[name].run()
+            times[name].append(dt)
+        diff = first_difference(workload.problems, reports["rev"], reports["tree"])
+        if diff is not None:
+            print(f"round {i}: reports differ at {diff}")
+            return 1
+        print(f"round {i} ({order[0]} first): {label} {times['rev'][-1]:.4f} s, "
+              f"working tree {times['tree'][-1]:.4f} s, "
+              f"ratio {times['tree'][-1] / times['rev'][-1]:.3f}", flush=True)
+    ratios = [t / r for r, t in zip(times["rev"], times["tree"])]
+    q1, q2, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
+    print(f"suite-dense in one process, {rounds} rounds, per_half {per_half}, seed {seed}, "
+          f"{label} -> working tree:")
+    print(f"  median pass {statistics.median(times['rev']):.4f} -> "
+          f"{statistics.median(times['tree']):.4f} s; paired ratio quartiles "
+          f"{q1:.3f} / {q2:.3f} / {q3:.3f}; working tree faster in "
+          f"{sum(r < 1.0 for r in ratios)}/{rounds} rounds")
+    print(f"  {len(workload.problems)} reports per pass, bit-identical in every round")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--rounds", type=int, default=60)
+    parser.add_argument("--per-half", type=int, default=10,
+                        help="problems per suite half (bench/ default 10)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.rev, tmp)
+        return compare(os.path.join(tmp, "src"), args.rounds, args.per_half, args.seed,
+                       args.rev)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

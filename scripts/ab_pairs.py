@@ -18,11 +18,14 @@ quartiles, REV's interquartile range, and in how many pairs the working
 tree was better (ties count for neither side), in the direction
 BENCHMARK.json gives.
 
-`--json FILE` also stores all of it in FILE, under the workload's name,
-next to what FILE holds for other workloads (FILE is created if need
-be): the settings, each pair's metrics for both sides and the
-per-metric summary.  The BENCH_*.json files at the root of the
-repository are written this way.
+`--json FILE` also stores all of it in FILE, under the key "WORKLOAD
+from seed K", next to what FILE holds for other workloads and other
+first seeds (FILE is created if need be): the settings, each pair's
+metrics for both sides and the per-metric summary.  So a claim and its recheck on fresh seeds share one file; a
+second run with the same workload and first seed replaces the first.
+Entries under a bare workload name (files written before the key held
+the first seed) are kept as they are.  The BENCH_*.json files at the
+root of the repository are written this way.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def main(argv=None) -> int:
         if os.path.exists(args.json):
             with open(args.json) as fh:
                 store = json.load(fh)
-        store[args.workload] = {
+        store[f"{args.workload} from seed {args.first_seed}"] = {
+            "workload": args.workload, "first_seed": args.first_seed,
             "rev": args.rev, "pairs": args.pairs, "seconds": args.seconds,
             "runs": [{"seed": seed, "rev": r, "tree": t}
                      for seed, (r, t) in enumerate(zip(runs["rev"], runs["tree"]),

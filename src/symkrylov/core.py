@@ -19,6 +19,7 @@ EPS = float(np.finfo(np.float64).eps)
 # padding measured faster at every n
 SLOT_PADDING = 1.2
 _GATHER_FIRST_NNZ = 1 << 14       # see SparseMatrix._products
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 class PreconditionerBreakdownError(RuntimeError):
@@ -50,6 +51,14 @@ def as_vector(x, n: Optional[int] = None) -> np.ndarray:
     return v.copy()
 
 
+def _as_complex_vector(x) -> np.ndarray:
+    """x as a 1-d complex128 array: x itself when it is one already, else
+    converted and flattened, a view where numpy can."""
+    if type(x) is np.ndarray and x.dtype is _COMPLEX128 and x.ndim == 1:
+        return x
+    return np.asarray(x, dtype=np.complex128).reshape(-1)
+
+
 def inner_t(x: np.ndarray, y: np.ndarray) -> complex:
     """Unconjugated (transpose) inner product x^T y."""
     if x.shape != y.shape:
@@ -67,18 +76,31 @@ def inner_h(x: np.ndarray, y: np.ndarray) -> complex:
 def norm2(x: np.ndarray) -> float:
     """The 2-norm, safe where the sum of squares under- or overflows.
 
+    A float64 or complex128 vector takes np.linalg.norm's own arithmetic,
+    sqrt(re.re + im.im) with each part's dot product, without its
+    argument handling; any other dtype goes through np.linalg.norm.
     A vector whose norm comes out 0 or Inf but which holds a nonzero
     finite entry is scaled by the exact power of two of its largest
     magnitude first, and the norm unscaled after, so norm2(2**k * x) is
     2**k * norm2(x) bit for bit wherever no entry leaves the normal
     range.  Every other vector takes the plain path.
     """
-    nrm = float(np.linalg.norm(x))
+    x = np.asarray(x)
+    if x.dtype.char in "dD":
+        # ravel as np.linalg.norm does: a strided vector is copied, so
+        # its dot products run over contiguous parts there and here
+        x = x.ravel(order="K")
+        if x.dtype.char == "D":
+            re, im = x.real, x.imag
+            nrm = math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+        else:
+            nrm = math.sqrt(float(x.dot(x)))
+    else:
+        nrm = float(np.linalg.norm(x))
     if nrm == 0.0 or nrm == math.inf:
         big = float(np.max(np.abs(x), initial=0.0))
         if 0.0 < big < math.inf:
             e = math.frexp(big)[1]
-            x = np.asarray(x)
             if np.iscomplexobj(x):
                 scaled = np.empty(x.shape, dtype=np.complex128)
                 scaled.real = np.ldexp(x.real, -e)
@@ -115,14 +137,13 @@ class SparseMatrix:
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _slot_indices: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     _slot_data: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _gather_first: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.diff(self.indptr)
         self._rows = np.repeat(np.arange(self.n), counts)
         k = int(counts.max(initial=0))
-        self._slot_indices = self._slot_data = None
-        if self.n > 1 and k * self.n <= SLOT_PADDING * self.nnz:
-            self._slot_indices, self._slot_data = self._slot_layout(k)
+        self._set_slots(self._slot_layout(k) if self._keeps_slots(k) else None)
 
     def _slot_layout(self, k: int):
         """The (k, n) slot-major index and value arrays, k >= the longest row."""
@@ -133,6 +154,15 @@ class SparseMatrix:
         data = np.zeros((k, self.n), dtype=np.complex128)
         data[slot, self._rows] = self.data
         return indices, data
+
+    def _keeps_slots(self, k: int) -> bool:
+        return self.n > 1 and k * self.n <= SLOT_PADDING * self.nnz
+
+    def _set_slots(self, slots) -> None:
+        """Keep the slot-major (index, value) pair, or None, and the
+        product's operand order."""
+        self._slot_indices, self._slot_data = slots or (None, None)
+        self._gather_first = self.nnz >= _GATHER_FIRST_NNZ
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
@@ -159,26 +189,57 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseMatrix":
+        """The same arrays as from_coo on the nonzero entries, bit for
+        bit, built straight from the dense array.
+
+        A row's nonzeros are already in column order, and a dense array
+        holds no duplicates.  Adding 0.0 turns a -0.0 part into +0.0, as
+        from_coo's summation from zero does.  The slot-major copy is the
+        transpose of the (n, k) array that holds each row's nonzeros
+        left-aligned: the row itself when every row has k nonzeros (a
+        full matrix, or one with a zero diagonal), else a padded copy.
+        """
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("dense input must be square")
-        # np.nonzero walks the array in row-major order, which is CSR
-        # order already, and a dense array holds no duplicates; adding
-        # 0.0 turns a -0.0 part into +0.0 as from_coo's summation does,
-        # so both builds give the same arrays bit for bit
-        rows, cols = np.nonzero(a)
         n = a.shape[0]
+        nonzero = a != 0            # NaN counts as nonzero, as in np.nonzero
+        data = a[nonzero]           # row-major: CSR order
+        np.add(data, 0.0, out=data)
+        counts = nonzero.sum(axis=1)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n=n, indptr=indptr, indices=cols.astype(np.int64, copy=False),
-                   data=a[rows, cols] + 0.0)
+        np.cumsum(counts, out=indptr[1:])
+        column = np.arange(n)
+        grid = np.empty((n, n), dtype=np.int64)
+        grid[:] = column                        # the column of each cell
+        indices = grid[nonzero]
+        # built without __init__, whose __post_init__ would derive the rows
+        # and the slot-major copy again, through the CSR scatter
+        mat = cls.__new__(cls)
+        mat.n, mat.indptr, mat.indices, mat.data = n, indptr, indices, data
+        k = int(counts.max(initial=0))
+        slots = None
+        if mat._keeps_slots(k):
+            if k * n == data.size:
+                rows_idx, rows_val = indices.reshape(n, k), data.reshape(n, k)
+            else:
+                filled = column[:k] < counts[:, None]
+                rows_idx = np.empty((n, k), dtype=np.int64)
+                rows_idx[:] = column[:, None]       # a padded slot reads x_i
+                rows_idx[filled] = indices
+                rows_val = np.zeros((n, k), dtype=np.complex128)
+                rows_val[filled] = data
+            slots = np.ascontiguousarray(rows_idx.T), np.ascontiguousarray(rows_val.T)
+        mat._rows = np.repeat(column, counts)
+        mat._set_slots(slots)
+        return mat
 
     @property
     def nnz(self) -> int:
         return int(self.data.size)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128).reshape(-1)
+        x = _as_complex_vector(x)
         if x.shape[0] != self.n:
             raise ValueError("matvec: length mismatch")
         if self._slot_data is not None:
@@ -200,12 +261,13 @@ class SparseMatrix:
         # and b*a can differ in the last bit of the imaginary part.  A
         # plain `data * x[indices]` lets numpy reuse the gathered temporary
         # from 2**14 entries (256 KiB) on, computing x[indices] * data into
-        # it.  Both paths do that explicitly, chosen by nnz, so they agree
-        # at every size, give the plain expression's bits and hold one
-        # temporary of the product's size, not two
-        if self.nnz >= _GATHER_FIRST_NNZ:
+        # it.  Both paths write the product into the gathered temporary in
+        # the plain expression's operand order, chosen by nnz, so they agree
+        # at every size, give its bits and hold one temporary of the
+        # product's size, not two
+        if self._gather_first:
             return np.multiply(gathered, data, out=gathered)
-        return data * gathered
+        return np.multiply(data, gathered, out=gathered)
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.complex128)
@@ -233,7 +295,7 @@ class LinearOperator:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self._applies += 1
-        y = np.asarray(self.apply(x), dtype=np.complex128).reshape(-1)
+        y = _as_complex_vector(self.apply(x))
         if y.shape[0] != self.n:
             raise ValueError("operator returned wrong length")
         return y
@@ -269,9 +331,9 @@ def probe_symmetry(op: LinearOperator) -> float:
     cls = op.symmetry
     transpose = cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)
     for _ in range(PROBE_PAIRS):
-        # one draw of 2n reals per vector, read as n complex entries
-        y = rng.standard_normal(2 * op.n).view(np.complex128)
-        z = rng.standard_normal(2 * op.n).view(np.complex128)
+        # 2n reals per vector, read as n complex entries; y and z are one
+        # draw, which gives the values of two draws in turn
+        y, z = rng.standard_normal(4 * op.n).view(np.complex128).reshape(2, op.n)
         y_norm, z_norm = norm2(y), norm2(z)
         ay = op(y)
         # read ay before the next apply: an operator may return a cached array

@@ -18,6 +18,11 @@ class Reflection(NamedTuple):
     r: complex
 
 
+# builds a Reflection from its three fields without the Python-level
+# __new__ that NamedTuple generates
+_reflection = tuple.__new__
+
+
 def sym_ortho(a: complex, b: complex) -> Reflection:
     """Build the reflection annihilating b against a.
 
@@ -25,14 +30,16 @@ def sym_ortho(a: complex, b: complex) -> Reflection:
     safe.  sym_ortho(0, 0) returns (c, s) = (1, 0), i.e. diag(1, -1);
     callers must apply that sign flip like any other reflection.
     """
-    a = complex(a)
-    b = complex(b)
+    if type(a) is not complex:
+        a = complex(a)
+    if type(b) is not complex:
+        b = complex(b)
     absa = abs(a)
     absb = abs(b)
     if absb == 0.0:
-        return Reflection(1.0, 0.0 + 0.0j, a)
+        return _reflection(Reflection, (1.0, 0.0 + 0.0j, a))
     if absa == 0.0:
-        return Reflection(0.0, 1.0 + 0.0j, b)
+        return _reflection(Reflection, (0.0, 1.0 + 0.0j, b))
     # unit-phase factors; magnitudes handled separately to dodge overflow
     sign_a = a / absa
     sign_b = b / absb
@@ -47,5 +54,5 @@ def sym_ortho(a: complex, b: complex) -> Reflection:
         c = 1.0 / math.sqrt(1.0 + tau * tau)
         s = c * tau * sign_a * sign_b.conjugate()
         r = a / c
-    return Reflection(c, s, r)
+    return _reflection(Reflection, (c, s, r))
 

@@ -171,20 +171,22 @@ class _Driver:
     def __init__(self, op: LinearOperator, b: np.ndarray, shift: complex,
                  m_solve: Optional[Callable], reorthogonalize: bool):
         self.op = op
-        self.row = tri.STRUCTURES[op.symmetry]
-        self.shift = complex(shift)
+        self.row = row = tri.STRUCTURES[op.symmetry]
+        self.conj, self.skew = row.conj, row.skew
+        shift = complex(shift)
         # a conj row keeps the shift inside the process; the others
         # move T's diagonal by rot*shift, which is -shift for a skew row
-        self.process_shift = self.shift if self.row.conj else 0.0
+        self.process_shift = shift if row.conj else 0.0
+        self.diagonal_shift = -shift if row.skew else row.rotate(shift)
         self.m_solve = m_solve
         if m_solve is not None:
             self.step = tri.precond_step
-            self.st = tri.precond_init(b, m_solve, self.row)
+            self.st = tri.precond_init(b, m_solve, row)
         else:
             # looked up now, not bound at import: a wrapper installed over
             # the module attribute then sees every step
             self.step = getattr(tri, f"{op.symmetry.name.lower()}_step")
-            self.st = tri.process_init(b, self.row, reorthogonalize)
+            self.st = tri.process_init(b, row, reorthogonalize)
         self.beta1 = self.st.beta_next
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
@@ -198,24 +200,28 @@ class _Driver:
         work is scratch for the preconditioned step.
         Raises NonFiniteError when the step yields a non-finite alpha
         or beta, before the engine sees either."""
-        row, st = self.row, self.st
+        st = self.st
         if self.m_solve is not None:
             u = np.multiply(st.q_curr, 1.0 / st.beta_next, out=out)   # q / beta
-            st = self.st = self.step(self.op, st, self.m_solve, row, self.process_shift, work)
+            st = self.st = self.step(self.op, st, self.m_solve, self.row, self.process_shift,
+                                     work)
         else:
-            u = np.conj(st.v_curr, out=out) if row.conj else st.v_curr
+            u = np.conj(st.v_curr, out=out) if self.conj else st.v_curr
             st = self.st = self.step(self.op, st, self.process_shift, u)
-        if not (cmath.isfinite(st.alpha) and math.isfinite(st.beta_next)):
-            raise NonFiniteError(f"step {st.k}: alpha = {st.alpha!r}, "
-                                 f"beta = {st.beta_next!r}")
-        bn = complex(st.beta_next)
-        if row.conj:
-            alpha, sub = st.alpha, bn
-        elif row.skew:
-            alpha, sub = -self.shift, -bn
-        else:
-            alpha, sub = st.alpha - row.rotate(self.shift), bn
-        return u, alpha, sub, bn, st.beta_curr, st.beta_next
+        alpha, beta_next = st.alpha, st.beta_next
+        if not (cmath.isfinite(alpha) and math.isfinite(beta_next)):
+            raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, "
+                                 f"beta = {beta_next!r}")
+        bn = complex(beta_next)
+        if self.conj:
+            return u, alpha, bn, bn, st.beta_curr, beta_next
+        if self.skew:
+            # alpha vanishes on a skew row; only the shift is on T's diagonal
+            return u, self.diagonal_shift, -bn, bn, st.beta_curr, beta_next
+        return u, alpha - self.diagonal_shift, bn, bn, st.beta_curr, beta_next
+
+
+_SQRT_EPS = math.sqrt(EPS)
 
 
 def _abs(z) -> float:
@@ -292,7 +298,8 @@ class _Engine:
     def step(self, alpha, sub, sup, beta_k, beta_next) -> None:
         """Iteration k on column k of T: diagonal alpha, sub below it,
         sup to its right in row k; beta_k and beta_{k+1} feed the norm
-        estimate."""
+        estimate.  Registers are read into locals once and written back
+        once; the arithmetic is unchanged, operation for operation."""
         cfg = self.cfg
         self.k = k = self.k + 1
         tau2_km2, self.tau2_km1 = self.tau2_km1, self.tau2
@@ -304,28 +311,35 @@ class _Engine:
             rho = math.hypot(abs(alpha), beta_next)
         else:
             rho = math.hypot(beta_k, abs(alpha), beta_next)
-        anorm = max(self.anorm, rho)
-        self.lanczos_done = beta_next <= self.n * anorm * EPS
-        if self.lanczos_done:
+        # each `if a > b: b = a` below is max(b, a), and `if a < b: b = a`
+        # min(b, a), NaN handling included
+        anorm = self.anorm
+        if rho > anorm:
+            anorm = rho
+        self.lanczos_done = lanczos_done = beta_next <= self.n * anorm * EPS
+        if lanczos_done:
             sub = sup = 0.0 + 0.0j
         self.column = (alpha, sub, sup)
 
         # left reflections: finish column k, start column k+1
+        c1, s1, delta = self.c1, self.s1, self.delta
         self.psi, gamma_pre, delta_next = self.lookahead(alpha, sup)
-        delta2 = self.c1 * self.delta + self.s1 * alpha
-        eps_k, self.eps = self.eps, self.s1 * sup
+        delta2 = c1 * delta + s1 * alpha
+        eps_k, self.eps = self.eps, s1 * sup
         c1, s1, gamma2 = sym_ortho(gamma_pre, sub)
-        tau2 = c1 * self.tau
-        self.tau = s1.conjugate() * self.tau
-        self.phi_prev = self.phi
-        self.phi = self.phi_prev * abs(s1)
+        tau = self.tau
+        tau2 = c1 * tau
+        self.tau = s1.conjugate() * tau
+        self.phi_prev = phi_prev = self.phi
+        phi = phi_prev * abs(s1)
         self.c1, self.s1, self.delta = c1, s1, delta_next
 
         # right reflections (scalars run in both phases)
         c2, s2, gamma6 = sym_ortho(self.gamma5, eps_k)
+        theta_km1 = self.theta_k
         theta2_km2 = self.theta2_km1
-        theta2_km1 = c2 * self.theta_k + s2 * delta2
-        delta3 = s2.conjugate() * self.theta_k - c2 * delta2
+        theta2_km1 = c2 * theta_km1 + s2 * delta2
+        delta3 = s2.conjugate() * theta_km1 - c2 * delta2
         eta_k = s2 * gamma2
         gamma3 = -c2 * gamma2
         c3, s3, gamma5 = sym_ortho(self.gamma4, delta3)
@@ -333,57 +347,75 @@ class _Engine:
         gamma4 = -c3 * gamma3
 
         # norm and condition estimates over the revealed diagonal
+        # gamma6, gamma5, gamma4, of which iteration k has the last k
+        abs_gamma4 = abs(gamma4)
+        if k > 2:
+            revealed = (abs(gamma6), abs(gamma5), abs_gamma4)
+        else:
+            revealed = (abs(gamma5), abs_gamma4) if k == 2 else (abs_gamma4,)
         gamma_min = self.gamma_min
-        for gamma in (gamma6, gamma5, gamma4)[max(3 - k, 0):]:
-            anorm = max(anorm, abs(gamma))
-            gamma_min = min(gamma_min, abs(gamma))
+        for g in revealed:
+            if g > anorm:
+                anorm = g
+            if g < gamma_min:
+                gamma_min = g
         self.anorm, self.gamma_min = anorm, gamma_min
-        self.acond = anorm / gamma_min if gamma_min > 0.0 else math.inf
+        self.acond = acond = anorm / gamma_min if gamma_min > 0.0 else math.inf
 
         # noise scale for rank decisions; the n factor keeps the
         # classification robust once beta terminates at roundoff level
-        tiny_rank = self.n * EPS * max(anorm, 1.0)
+        anorm_1 = 1.0 if 1.0 > anorm else anorm          # max(anorm, 1.0)
+        tiny_rank = self.n * EPS * anorm_1
         # a deficient final column is the one signal phi cannot carry:
         # the terminal rotation has |s| = 0 for either rank, so the
         # revealed diagonal decides; its roundoff level after an
         # exhausted basis sits well above n*eps*anorm
-        self.rank_deficient = self.lanczos_done and abs(gamma4) <= max(
-            tiny_rank, math.sqrt(EPS) * max(anorm, 1.0))
-        if self.rank_deficient or abs(gamma4) < EPS:
+        rank_deficient = False
+        if lanczos_done:
+            floor = _SQRT_EPS * anorm_1
+            rank_deficient = abs_gamma4 <= (floor if floor > tiny_rank else tiny_rank)
+        self.rank_deficient = rank_deficient
+        if rank_deficient or abs_gamma4 < EPS:
             # a collapsed revealed diagonal means the rotation's
             # residual reduction was noise; undo the phi update
-            self.phi = self.phi_prev
+            phi = phi_prev
+        self.phi = phi
 
-        self.transfer = not self.qlp and (cfg.trancond <= 1.0 or self.acond > cfg.trancond)
-        if self.transfer:
-            self.qlp, self.transfer_iteration = True, k
+        qlp = self.qlp
+        self.transfer = transfer = not qlp and (cfg.trancond <= 1.0 or acond > cfg.trancond)
+        if transfer:
+            self.qlp = qlp = True
+            self.transfer_iteration = k
 
         # mu recurrences (final values lag two iterations)
         mu_km2 = mu_km1 = 0.0 + 0.0j
+        mu_l2 = self.mu_l2
         if k > 2:
-            mu_km2 = _mu(tau2_km2, eta_km2, mu_l3, theta2_km2, self.mu_l2, gamma6)
+            mu_km2 = _mu(tau2_km2, eta_km2, mu_l3, theta2_km2, mu_l2, gamma6)
         if k > 1:
-            mu_km1 = _mu(self.tau2_km1, self.eta_km1, self.mu_l2, theta2_km1, mu_km2, gamma5)
-        if abs(gamma4) <= tiny_rank or self.rank_deficient:
+            mu_km1 = _mu(self.tau2_km1, self.eta_km1, mu_l2, theta2_km1, mu_km2, gamma5)
+        if abs_gamma4 <= tiny_rank or rank_deficient:
             mu_k = 0.0 + 0.0j
         else:
             mu_k = _mu(tau2, eta_k, mu_km2, theta_k, mu_km1, gamma4)
+        chi_locked = self.chi_locked
         if k > 2:
-            self.chi_locked = math.hypot(self.chi_locked, _abs(mu_km2))
+            self.chi_locked = chi_locked = math.hypot(chi_locked, _abs(mu_km2))
         abs_km1 = _abs(mu_km1)
-        chi_full = math.hypot(self.chi_locked, abs_km1, _abs(mu_k))
+        chi_full = math.hypot(chi_locked, abs_km1, _abs(mu_k))
         # past the length bound the MINRES phase skips the x update; the
         # QLP phase drops trailing components until the bound holds
-        fits = chi_full <= cfg.maxxnorm
+        maxxnorm = cfg.maxxnorm
+        fits = chi_full <= maxxnorm
         if fits:
             self.chi = chi_full
-        elif self.qlp:
-            chi_part = math.hypot(self.chi_locked, abs_km1)
-            self.keep_km1 = chi_part <= cfg.maxxnorm
-            self.chi = chi_part if self.keep_km1 else self.chi_locked
+        elif qlp:
+            chi_part = math.hypot(chi_locked, abs_km1)
+            self.keep_km1 = keep_km1 = chi_part <= maxxnorm
+            self.chi = chi_part if keep_km1 else chi_locked
         # a NaN chi_full neither fits nor exceeds: the QLP phase stops on
         # it, the MINRES phase goes on
-        self.xnorm_stop = not fits if self.qlp else chi_full > cfg.maxxnorm
+        self.xnorm_stop = not fits if qlp else chi_full > maxxnorm
         # |tau2| <= beta1, and beta1 is below sqrt(max float) (the norm
         # of a b scaled to entries under 1, or the root of a finite q'z),
         # so this abs() cannot overflow
@@ -638,15 +670,17 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         return _stopped(n, StopReason.BetaZero_xZero)
 
     engine = _Engine(n, driver.beta1, cfg)
+    advance, lend, step, update, verdict = (driver.advance, vectors.lend, engine.step,
+                                            vectors.update, engine.verdict)
     reason = None
     try:
         for _ in range(maxit):
-            u, *column = driver.advance(*vectors.lend())
-            engine.step(*column)
-            vectors.update(u, engine)
+            u, alpha, sub, sup, beta_k, beta_next = advance(*lend())
+            step(alpha, sub, sup, beta_k, beta_next)
+            update(u, engine)
             if monitor is not None:
                 monitor(engine.record(vectors.iterate(engine), e))
-            reason = engine.verdict()
+            reason = verdict()
             if reason is not None:
                 break
         else:

@@ -107,12 +107,15 @@ class _Basis:
         products against V, and neither copies V nor forms conj(V)."""
         v = self.rows()
         for _ in range(2):
-            h = np.conj(v @ np.conj(cand))      # V^H cand
-            cand = cand - h @ v
+            h = v @ np.conj(cand)
+            np.conj(h, out=h)                   # V^H cand
+            hv = h @ v
+            # into the fresh product: the caller's cand is only read
+            cand = np.subtract(cand, hv, out=hv)
         return cand
 
 
-@dataclass
+@dataclass(slots=True)
 class TridiagState:
     """State after k process steps.
 
@@ -153,6 +156,12 @@ def process_init(b: np.ndarray, structure: Structure,
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
+def _less(cand: np.ndarray, s, y: np.ndarray, owned: bool) -> np.ndarray:
+    """cand - s*y, written into cand when the caller owns it; the bits of
+    the plain expression either way."""
+    return np.subtract(cand, np.multiply(s, y), out=cand if owned else None)
+
+
 def _step(op: LinearOperator, st: TridiagState, structure: Structure,
           shift: complex, w: Optional[np.ndarray]) -> TridiagState:
     """One plain step of the shared recurrence.
@@ -166,15 +175,18 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
     assert v is not None, "recurrence already terminated"
     if w is None:
         w = np.conj(v) if structure.conj else v
+    # cand starts as the operator's array, which is only read; once a
+    # difference has been formed here, the next ones are written into it
     cand = structure.rotate(op(w))
+    owned = structure.rot != 1
     if shift != 0.0:
-        cand = cand - shift * w
+        cand, owned = _less(cand, shift, w, owned), True
     if st.v_prev is not None:
-        cand = cand - st.beta_next * st.v_prev
+        cand, owned = _less(cand, st.beta_next, st.v_prev, owned), True
     alpha = 0.0
     if not structure.skew:
         alpha = inner_h(v, cand)
-        cand = cand - alpha * v
+        cand = _less(cand, alpha, v, owned)
     if st.basis is not None:
         cand = st.basis.orthogonalize(cand)
     beta_next = norm2(cand)
@@ -190,24 +202,30 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
 # solve starts, so a wrapper installed over it (bench/layertrace.py counts
 # and times steps by these names) sees every call.
 
+_COMPLEX_SYMMETRIC = STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC]
+_SKEW_SYMMETRIC = STRUCTURES[SymmetryClass.SKEW_SYMMETRIC]
+_SKEW_HERMITIAN = STRUCTURES[SymmetryClass.SKEW_HERMITIAN]
+_HERMITIAN = STRUCTURES[SymmetryClass.HERMITIAN]
+
+
 def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                            w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], shift, w)
+    return _step(op, st, _COMPLEX_SYMMETRIC, shift, w)
 
 
 def skew_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], shift, w)
+    return _step(op, st, _SKEW_SYMMETRIC, shift, w)
 
 
 def skew_hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], shift, w)
+    return _step(op, st, _SKEW_HERMITIAN, shift, w)
 
 
 def hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                    w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], shift, w)
+    return _step(op, st, _HERMITIAN, shift, w)
 
 
 def _real_positive(product: complex, what: str) -> float:

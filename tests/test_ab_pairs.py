@@ -42,8 +42,9 @@ def test_json_holds_pairs_and_summary(ab_pairs, tmp_path, capsys):
                               ("rev", "w1", 3, 2.0), ("tree", "w1", 3, 2.0)]
     text = out.read_text()
     assert text.endswith("\n")
-    entry = json.loads(text)["w1"]
+    entry = json.loads(text)["w1 from seed 1"]
     assert (entry["rev"], entry["pairs"], entry["seconds"]) == ("abc123", 3, 2.0)
+    assert (entry["workload"], entry["first_seed"]) == ("w1", 1)
     assert [run["seed"] for run in entry["runs"]] == [1, 2, 3]
     assert [run["tree"]["solve_s"] for run in entry["runs"]] == [0.5, 2.5, 2.0]
     assert [run["rev"]["peak_rss_mb"] for run in entry["runs"]] == [71.0, 72.0, 73.0]
@@ -69,12 +70,12 @@ def test_json_holds_pairs_and_summary(ab_pairs, tmp_path, capsys):
 def test_json_keeps_other_workloads(ab_pairs, tmp_path):
     out = tmp_path / "bench.json"
     ab_pairs.main(["r", "--workload", "w1", "--pairs", "1", "--seconds", "1", "--json", str(out)])
-    first = json.loads(out.read_text())["w1"]
+    first = json.loads(out.read_text())["w1 from seed 1"]
     ab_pairs.main(["r", "--workload", "w2", "--pairs", "2", "--seconds", "1", "--json", str(out)])
     store = json.loads(out.read_text())
-    assert set(store) == {"w1", "w2"}
-    assert store["w1"] == first
-    assert len(store["w2"]["runs"]) == 2
+    assert set(store) == {"w1 from seed 1", "w2 from seed 1"}
+    assert store["w1 from seed 1"] == first
+    assert len(store["w2 from seed 1"]["runs"]) == 2
     # one pair: each quartile is the single value, the IQR zero
     assert first["summary"]["solve_s"]["rev"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert first["summary"]["solve_s"]["rev_iqr"] == 0.0
@@ -93,6 +94,36 @@ def test_first_seed_shifts_the_seeds_not_the_order(ab_pairs, tmp_path, capsys):
     assert ab_pairs.calls == [("rev", "w1", 2, 1.0), ("tree", "w1", 2, 1.0),
                               ("tree", "w1", 3, 1.0), ("rev", "w1", 3, 1.0)]
     assert "pair 1 (seed 2, rev first)" in capsys.readouterr().out
-    runs = json.loads(out.read_text())["w1"]["runs"]
+    runs = json.loads(out.read_text())["w1 from seed 2"]["runs"]
     assert [run["seed"] for run in runs] == [2, 3]
     assert [run["tree"]["solve_s"] for run in runs] == [2.5, 2.0]
+
+
+def test_json_keeps_a_recheck_on_other_seeds(ab_pairs, tmp_path):
+    # a claim on seeds 1-2 and its recheck on seeds 2-3 share one file;
+    # running the claim again replaces only the claim
+    out = tmp_path / "bench.json"
+    claim = ["r", "--workload", "w1", "--pairs", "2", "--seconds", "1", "--json", str(out)]
+    ab_pairs.main(claim)
+    ab_pairs.main(claim[:-2] + ["--first-seed", "2", "--json", str(out)])
+    store = json.loads(out.read_text())
+    assert set(store) == {"w1 from seed 1", "w1 from seed 2"}
+    assert [run["seed"] for run in store["w1 from seed 1"]["runs"]] == [1, 2]
+    assert [run["seed"] for run in store["w1 from seed 2"]["runs"]] == [2, 3]
+    recheck = store["w1 from seed 2"]
+    ab_pairs.main(["s"] + claim[1:])
+    store = json.loads(out.read_text())
+    assert set(store) == {"w1 from seed 1", "w1 from seed 2"}
+    assert store["w1 from seed 1"]["rev"] == "s"
+    assert store["w1 from seed 2"] == recheck
+
+
+def test_json_keeps_entries_keyed_by_workload_alone(ab_pairs, tmp_path):
+    # BENCH_pr13.json and BENCH_pr14.json key each run by the workload alone
+    out = tmp_path / "bench.json"
+    old = {"w1": {"rev": "q", "pairs": 1, "runs": [{"seed": 1, "rev": {}, "tree": {}}]}}
+    out.write_text(json.dumps(old))
+    ab_pairs.main(["r", "--workload", "w1", "--pairs", "1", "--seconds", "1", "--json", str(out)])
+    store = json.loads(out.read_text())
+    assert set(store) == {"w1", "w1 from seed 1"}
+    assert store["w1"] == old["w1"]

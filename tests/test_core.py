@@ -308,3 +308,171 @@ def test_probe_of_an_empty_operator_is_zero():
         op = LinearOperator(0, cls, lambda x: x)
         assert probe_symmetry(op) == 0.0
         assert op._applies == 0
+
+
+# --- fast paths, pinned bit for bit against the general code they replace
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# an entry's magnitude regime: ordinary, subnormal, or near the overflow
+# threshold, where a sum of squares can overflow
+_REGIMES = {"normal": (-30, 30), "subnormal": (-1074, -1023), "huge": (500, 511)}
+_ENTRY = st.tuples(st.floats(-1.0, 1.0), st.sampled_from(sorted(_REGIMES)),
+                   st.integers(0, 2**16))
+
+
+def _entries(drawn):
+    out = []
+    for m, regime, k in drawn:
+        lo, hi = _REGIMES[regime]
+        out.append(np.ldexp(m, lo + k % (hi - lo + 1)))
+    return np.array(out, dtype=np.float64)
+
+
+@given(st.lists(_ENTRY, max_size=24), st.lists(_ENTRY, max_size=24), st.booleans())
+@seed(2026)
+@settings(max_examples=300, deadline=None)
+def test_norm2_is_numpys_norm_bit_for_bit(re, im, is_complex):
+    # wherever np.linalg.norm neither under- nor overflows to 0 or Inf,
+    # norm2 takes no rescue and must return its bits
+    re, im = _entries(re), _entries(im)
+    x = re
+    if is_complex:
+        n = max(re.size, im.size)
+        x = np.zeros(n, dtype=np.complex128)
+        x.real[:re.size], x.imag[:im.size] = re, im
+    with np.errstate(over="ignore"):
+        ref = float(np.linalg.norm(x))
+        got = norm2(x)
+    if 0.0 < ref < np.inf:
+        assert got == ref
+    elif not x.any():
+        assert got == 0.0
+    else:
+        assert 0.0 < got < np.inf        # the rescue
+
+
+def test_norm2_is_numpys_norm_on_every_layout():
+    rng = np.random.default_rng(20)
+    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    cases = [z, z[::3], z.real, z.imag[1::2], z.reshape(8, 8), z.reshape(8, 8).T,
+             list(z[:5]), z.astype(np.complex64), z.real.astype(np.float32),
+             np.arange(7), z.astype(">c16")]
+    for x in cases:
+        assert norm2(x) == float(np.linalg.norm(x))
+
+
+def _coo_twin(a):
+    """from_coo on the nonzero entries of the dense array a."""
+    a = np.asarray(a, dtype=np.complex128)
+    rows, cols = np.nonzero(a)
+    return SparseMatrix.from_coo(a.shape[0], rows, cols, a[rows, cols])
+
+
+def _dense_cases():
+    rng = np.random.default_rng(21)
+    full = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    zero_diagonal = full.copy()
+    np.fill_diagonal(zero_diagonal, 0.0)
+    signed = full.copy()
+    signed[::2, 1::3] = complex(-0.0, -0.0)          # a zero, not stored
+    signed[1, :4] = complex(-0.0, 2.0)               # stored, real part -0.0
+    signed[3, 4] = complex(1.5, -0.0)
+    nan = full.copy()
+    nan[2, 5], nan[0, 0], nan[4, 1] = complex(np.nan, 0.0), complex(0.0, np.nan), np.inf
+    padded = full.copy()
+    padded[rng.random((7, 7)) < 0.15] = 0.0          # rows of unequal length
+    holes = full.copy()
+    holes[3] = 0.0                                   # an empty row, padded to k
+    holes[:, 5] = 0.0
+    skew = np.triu(rng.standard_normal((6, 6)), 1)
+    return {
+        "full": full,
+        "zero diagonal": zero_diagonal,
+        "signed zeros": signed,
+        "nan and inf": nan,
+        "padded": padded,
+        "empty row": holes,
+        "real": rng.standard_normal((6, 6)),
+        "real skew": skew - skew.T,
+        "fortran order": np.asfortranarray(full),
+        "n = 0": np.zeros((0, 0)),
+        "n = 1": np.array([[2.5 - 1.0j]]),
+        "n = 1 zero": np.zeros((1, 1)),
+        "all zero": np.zeros((4, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dense_cases()))
+def test_from_dense_builds_the_arrays_of_from_coo(name):
+    a = _dense_cases()[name]
+    got, ref = SparseMatrix.from_dense(a), _coo_twin(a)
+    assert got.n == ref.n
+    for field in ("indptr", "indices", "data", "_rows"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+    assert (got._slot_data is None) == (ref._slot_data is None)
+    if ref._slot_data is not None:
+        for field in ("_slot_indices", "_slot_data"):
+            assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+            assert getattr(got, field).flags.c_contiguous
+    assert got._gather_first == ref._gather_first
+    assert _bits(got.diagonal()) == _bits(ref.diagonal())
+    assert _bits(got.to_dense()) == _bits(ref.to_dense())
+    x = random_x(np.random.default_rng(22), got.n)
+    with np.errstate(invalid="ignore"):
+        assert_same_bits(got.matvec(x), ref.matvec(x))
+
+
+def test_from_dense_keeps_the_slot_layout_for_a_zero_diagonal():
+    # the skew suites' matrices: every row one entry short of n, no padding
+    a = _dense_cases()["zero diagonal"]
+    m = SparseMatrix.from_dense(a)
+    assert m._slot_data.shape == (6, 7)
+    assert m._slot_indices[:, 0].tolist() == [1, 2, 3, 4, 5, 6]
+    assert m._slot_indices[:, 6].tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def _recording_operator(n, out):
+    return LinearOperator(n, SymmetryClass.HERMITIAN, lambda x: out)
+
+
+def test_operator_call_converts_what_is_not_a_complex_vector():
+    z = np.array([1.0 + 2.0j, -3.0, 0.5j, 4.0, 5.0, -6.0j])
+    cases = {
+        "list": ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0], dtype=np.complex128)),
+        "real array": (np.array([1.0, -2.0, 3.0]), np.array([1.0, -2.0, 3.0], dtype=np.complex128)),
+        "(n, 1) array": (z[:3].reshape(3, 1), z[:3]),
+        "strided view": (z[::2], z[::2]),
+        "big endian": (z[:3].astype(">c16"), z[:3]),
+    }
+    for name, (out, want) in cases.items():
+        y = _recording_operator(3, out)(np.zeros(3))
+        assert y.dtype == np.complex128 and y.ndim == 1, name
+        assert _bits(np.ascontiguousarray(y)) == _bits(np.ascontiguousarray(want)), name
+    # a 1-d complex128 array is handed on as it is, with no copy
+    y = np.ones(3, dtype=np.complex128)
+    assert _recording_operator(3, y)(np.zeros(3)) is y
+
+
+@pytest.mark.parametrize("out", [np.ones(4), [1.0, 2.0], np.ones((3, 2)), np.ones(6)[::3]],
+                         ids=["too long", "list too short", "(3, 2)", "strided, too short"])
+def test_operator_call_rejects_a_wrong_length(out):
+    with pytest.raises(ValueError):
+        _recording_operator(3, out)(np.zeros(3))
+
+
+def test_matvec_converts_its_input_and_checks_length():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m = SparseMatrix.from_dense(a)
+    x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    want = m.matvec(np.ascontiguousarray(x[::2]))
+    for given_x in (x[::2], x[::2].reshape(5, 1), list(x[::2])):
+        assert_same_bits(m.matvec(given_x), want)
+    assert_same_bits(m.matvec(x[::2].real), m.matvec(x[::2].real + 0j))
+    for bad in (x, x[:4], np.ones((5, 2))):
+        with pytest.raises(ValueError):
+            m.matvec(bad)
