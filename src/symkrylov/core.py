@@ -143,10 +143,18 @@ class SparseMatrix:
         counts = np.diff(self.indptr)
         self._rows = np.repeat(np.arange(self.n), counts)
         k = int(counts.max(initial=0))
-        self._set_slots(self._slot_layout(k) if self._keeps_slots(k) else None)
+        self._slot_indices = self._slot_data = None
+        if self.n > 1 and k * self.n <= SLOT_PADDING * self.nnz:
+            self._slot_indices, self._slot_data = self._slot_layout(k)
+        self._gather_first = self.nnz >= _GATHER_FIRST_NNZ
 
     def _slot_layout(self, k: int):
         """The (k, n) slot-major index and value arrays, k >= the longest row."""
+        if k * self.n == self.nnz:
+            # every row has k entries (a full matrix, or one with a zero
+            # diagonal): the slot-major copy is the transposed CSR arrays
+            return (np.ascontiguousarray(self.indices.reshape(self.n, k).T, dtype=np.int64),
+                    np.ascontiguousarray(self.data.reshape(self.n, k).T, dtype=np.complex128))
         slot = np.arange(self.nnz) - self.indptr[self._rows]
         indices = np.empty((k, self.n), dtype=np.int64)
         indices[:] = np.arange(self.n)
@@ -154,15 +162,6 @@ class SparseMatrix:
         data = np.zeros((k, self.n), dtype=np.complex128)
         data[slot, self._rows] = self.data
         return indices, data
-
-    def _keeps_slots(self, k: int) -> bool:
-        return self.n > 1 and k * self.n <= SLOT_PADDING * self.nnz
-
-    def _set_slots(self, slots) -> None:
-        """Keep the slot-major (index, value) pair, or None, and the
-        product's operand order."""
-        self._slot_indices, self._slot_data = slots or (None, None)
-        self._gather_first = self.nnz >= _GATHER_FIRST_NNZ
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, vals) -> "SparseMatrix":
@@ -194,10 +193,7 @@ class SparseMatrix:
 
         A row's nonzeros are already in column order, and a dense array
         holds no duplicates.  Adding 0.0 turns a -0.0 part into +0.0, as
-        from_coo's summation from zero does.  The slot-major copy is the
-        transpose of the (n, k) array that holds each row's nonzeros
-        left-aligned: the row itself when every row has k nonzeros (a
-        full matrix, or one with a zero diagonal), else a padded copy.
+        from_coo's summation from zero does.
         """
         a = np.asarray(a, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -206,33 +202,11 @@ class SparseMatrix:
         nonzero = a != 0            # NaN counts as nonzero, as in np.nonzero
         data = a[nonzero]           # row-major: CSR order
         np.add(data, 0.0, out=data)
-        counts = nonzero.sum(axis=1)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        column = np.arange(n)
-        grid = np.empty((n, n), dtype=np.int64)
-        grid[:] = column                        # the column of each cell
-        indices = grid[nonzero]
-        # built without __init__, whose __post_init__ would derive the rows
-        # and the slot-major copy again, through the CSR scatter
-        mat = cls.__new__(cls)
-        mat.n, mat.indptr, mat.indices, mat.data = n, indptr, indices, data
-        k = int(counts.max(initial=0))
-        slots = None
-        if mat._keeps_slots(k):
-            if k * n == data.size:
-                rows_idx, rows_val = indices.reshape(n, k), data.reshape(n, k)
-            else:
-                filled = column[:k] < counts[:, None]
-                rows_idx = np.empty((n, k), dtype=np.int64)
-                rows_idx[:] = column[:, None]       # a padded slot reads x_i
-                rows_idx[filled] = indices
-                rows_val = np.zeros((n, k), dtype=np.complex128)
-                rows_val[filled] = data
-            slots = np.ascontiguousarray(rows_idx.T), np.ascontiguousarray(rows_val.T)
-        mat._rows = np.repeat(column, counts)
-        mat._set_slots(slots)
-        return mat
+        np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+        columns = np.empty((n, n), dtype=np.int64)
+        columns[:] = np.arange(n)               # the column of each cell
+        return cls(n=n, indptr=indptr, indices=columns[nonzero], data=data)
 
     @property
     def nnz(self) -> int:
@@ -261,13 +235,12 @@ class SparseMatrix:
         # and b*a can differ in the last bit of the imaginary part.  A
         # plain `data * x[indices]` lets numpy reuse the gathered temporary
         # from 2**14 entries (256 KiB) on, computing x[indices] * data into
-        # it.  Both paths write the product into the gathered temporary in
-        # the plain expression's operand order, chosen by nnz, so they agree
-        # at every size, give its bits and hold one temporary of the
-        # product's size, not two
+        # it.  Both paths do that explicitly, chosen by nnz, so they agree
+        # at every size, give the plain expression's bits and hold one
+        # temporary of the product's size, not two
         if self._gather_first:
             return np.multiply(gathered, data, out=gathered)
-        return np.multiply(data, gathered, out=gathered)
+        return data * gathered
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.complex128)

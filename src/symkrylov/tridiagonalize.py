@@ -107,11 +107,8 @@ class _Basis:
         products against V, and neither copies V nor forms conj(V)."""
         v = self.rows()
         for _ in range(2):
-            h = v @ np.conj(cand)
-            np.conj(h, out=h)                   # V^H cand
-            hv = h @ v
-            # into the fresh product: the caller's cand is only read
-            cand = np.subtract(cand, hv, out=hv)
+            h = np.conj(v @ np.conj(cand))      # V^H cand
+            cand = cand - h @ v
         return cand
 
 
@@ -156,12 +153,6 @@ def process_init(b: np.ndarray, structure: Structure,
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
-def _less(cand: np.ndarray, s, y: np.ndarray, owned: bool) -> np.ndarray:
-    """cand - s*y, written into cand when the caller owns it; the bits of
-    the plain expression either way."""
-    return np.subtract(cand, np.multiply(s, y), out=cand if owned else None)
-
-
 def _step(op: LinearOperator, st: TridiagState, structure: Structure,
           shift: complex, w: Optional[np.ndarray]) -> TridiagState:
     """One plain step of the shared recurrence.
@@ -175,18 +166,15 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
     assert v is not None, "recurrence already terminated"
     if w is None:
         w = np.conj(v) if structure.conj else v
-    # cand starts as the operator's array, which is only read; once a
-    # difference has been formed here, the next ones are written into it
     cand = structure.rotate(op(w))
-    owned = structure.rot != 1
     if shift != 0.0:
-        cand, owned = _less(cand, shift, w, owned), True
+        cand = cand - shift * w
     if st.v_prev is not None:
-        cand, owned = _less(cand, st.beta_next, st.v_prev, owned), True
+        cand = cand - st.beta_next * st.v_prev
     alpha = 0.0
     if not structure.skew:
         alpha = inner_h(v, cand)
-        cand = _less(cand, alpha, v, owned)
+        cand = cand - alpha * v
     if st.basis is not None:
         cand = st.basis.orthogonalize(cand)
     beta_next = norm2(cand)

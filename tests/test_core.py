@@ -372,6 +372,21 @@ def _coo_twin(a):
     return SparseMatrix.from_coo(a.shape[0], rows, cols, a[rows, cols])
 
 
+def _scattered_slots(m):
+    """The slot-major pair scattered entry by entry from m's CSR arrays:
+    entry j of row i at [j, i], a padded slot 0 at the row's column."""
+    counts = np.diff(m.indptr)
+    k = int(counts.max(initial=0))
+    rows = np.repeat(np.arange(m.n), counts)
+    slot = np.arange(m.nnz) - m.indptr[rows]
+    indices = np.empty((k, m.n), dtype=np.int64)
+    indices[:] = np.arange(m.n)
+    indices[slot, rows] = m.indices
+    data = np.zeros((k, m.n), dtype=np.complex128)
+    data[slot, rows] = m.data
+    return indices, data
+
+
 def _dense_cases():
     rng = np.random.default_rng(21)
     full = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
@@ -415,8 +430,11 @@ def test_from_dense_builds_the_arrays_of_from_coo(name):
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
     assert (got._slot_data is None) == (ref._slot_data is None)
     if ref._slot_data is not None:
-        for field in ("_slot_indices", "_slot_data"):
+        # rows of equal length take the transposed CSR arrays, the others
+        # the scatter; both must give the entry-by-entry layout
+        for field, want in zip(("_slot_indices", "_slot_data"), _scattered_slots(ref)):
             assert _bits(getattr(got, field)) == _bits(getattr(ref, field)), field
+            assert _bits(getattr(got, field)) == _bits(want), field
             assert getattr(got, field).flags.c_contiguous
     assert got._gather_first == ref._gather_first
     assert _bits(got.diagonal()) == _bits(ref.diagonal())
