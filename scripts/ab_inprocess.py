@@ -1,22 +1,29 @@
 #!/usr/bin/env python3
-"""Alternating suite-dense passes of REV and the working tree in one process.
+"""Alternating samples of a bench/ workload, REV against the working tree, in one process.
 
-    python3 scripts/ab_inprocess.py REV [--rounds R] [--per-half P] [--seed S]
+    python3 scripts/ab_inprocess.py REV [--workload W] [--rounds R]
+                                        [--per-half P] [--grid M] [--seed S]
 
 REV (any git revision, e.g. HEAD) is exported with `git archive` to a
 temporary directory, and its src/symkrylov is imported as the package
-`symkrylov_rev`, next to the working tree's `symkrylov`.  The problems
-are the bench/ suite-dense workload's (`SuiteDense(per_half=P)` built at
-seed S), generated once and handed to both packages.  Each round runs
-one pass over them with each package, REV first in odd rounds and the
-working tree first in even ones, after one untimed warm-up pass each.
+`symkrylov_rev`, next to the working tree's `symkrylov`.  The inputs are
+those of the bench/ workload W, built once at seed S and handed to both
+packages:
+  * suite-dense (the default): `SuiteDense(per_half=P)`; a sample is one
+    pass over its problems, as dense arrays;
+  * matfree-qlp: `MatfreeQLP(m=M)`; a sample is its one solve, and each
+    package wraps the workload's numpy closure and diagonal in its own
+    LinearOperator and Diagonal.
+Each round runs one sample with each package, REV first in odd rounds
+and the working tree first in even ones, after one untimed warm-up
+sample each.
 
 Both packages then see the same host at nearly the same moment, which
 separate benchmark processes do not: the ratio of the two passes of a
 round is much less noisy than either time.  Each round's reports must
 agree bit for bit (x, reason, iterations and every estimate); the
 script stops with exit status 1 at the first that does not.  It prints
-one line per round, then each side's median pass time and the
+one line per round, then each side's median pass (sample) time and the
 quartiles of the paired ratio working tree / REV.
 """
 
@@ -40,7 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import symkrylov  # noqa: E402
-from workloads import SuiteDense  # noqa: E402
+from workloads import MatfreeQLP, SuiteDense  # noqa: E402
 
 REV_PACKAGE = "symkrylov_rev"
 
@@ -77,36 +84,54 @@ def bits(value):
 
 
 def first_difference(problems, rev_reports, tree_reports):
-    """'problem field' of the first report field whose bits differ, or None."""
+    """'problem field' of the first report field whose bits differ, or
+    None; a problem is named by its .id, or is a plain label."""
     for p, rev, tree in zip(problems, rev_reports, tree_reports):
         for f in dataclasses.fields(tree):
             if bits(getattr(rev, f.name)) != bits(getattr(tree, f.name)):
-                return f"{p.id} {f.name}"
+                return f"{getattr(p, 'id', p)} {f.name}"
     return None
 
 
+def build(workload, per_half, grid, seed):
+    """The bench/ workload named `workload`, built at `seed`."""
+    built = SuiteDense(per_half=per_half) if workload == "suite-dense" else MatfreeQLP(m=grid)
+    built.build(seed)
+    return built
+
+
 class Side:
-    """One package's pass over the problems, with its own config objects."""
+    """One package's sample of the workload, with its own config objects
+    and, on matfree-qlp, its own operator and preconditioner."""
 
     def __init__(self, package, workload):
         self.solve = package.solve
-        self.configs = [package.SolverConfig(**dataclasses.asdict(c)) for c in workload.configs]
-        self.problems = workload.problems
+        if workload.name == "suite-dense":
+            self.calls = [((p.a, p.b, p.variant.value,
+                            package.SolverConfig(**dataclasses.asdict(c))),
+                           {"reorthogonalize": not p.compatible})
+                          for p, c in zip(workload.problems, workload.configs)]
+            self.labels = workload.problems
+        else:
+            op = workload.operator
+            self.calls = [((package.LinearOperator(op.n, package.SymmetryClass[op.symmetry.name],
+                                                   op.apply), workload.b),
+                           {"config": package.SolverConfig(**dataclasses.asdict(workload.config)),
+                            "preconditioner": package.Diagonal(workload.diagonal)})]
+            self.labels = [workload.name]
 
     def run(self):
-        """(seconds, reports) of one pass, timed as bench/run.py times a sample."""
+        """(seconds, reports) of one sample, timed as bench/run.py times one."""
         gc.collect()
         t0 = time.perf_counter()
-        reports = [self.solve(p.a, p.b, p.variant.value, c, reorthogonalize=not p.compatible)
-                   for p, c in zip(self.problems, self.configs)]
+        reports = [self.solve(*args, **kwargs) for args, kwargs in self.calls]
         return time.perf_counter() - t0, reports
 
 
-def compare(rev_src, rounds, per_half, seed, label):
+def compare(rev_src, rounds, per_half, seed, label, workload="suite-dense", grid=316):
     """Run the rounds against the package under rev_src; 0 when every
     report agreed bit for bit, else 1."""
-    workload = SuiteDense(per_half=per_half)
-    workload.build(seed)
+    workload = build(workload, per_half, grid, seed)
     sides = {"rev": Side(load_package(rev_src, REV_PACKAGE), workload),
              "tree": Side(symkrylov, workload)}
     for side in sides.values():
@@ -118,7 +143,7 @@ def compare(rev_src, rounds, per_half, seed, label):
         for name in order:
             dt, reports[name] = sides[name].run()
             times[name].append(dt)
-        diff = first_difference(workload.problems, reports["rev"], reports["tree"])
+        diff = first_difference(sides["tree"].labels, reports["rev"], reports["tree"])
         if diff is not None:
             print(f"round {i}: reports differ at {diff}")
             return 1
@@ -127,22 +152,27 @@ def compare(rev_src, rounds, per_half, seed, label):
               f"ratio {times['tree'][-1] / times['rev'][-1]:.3f}", flush=True)
     ratios = [t / r for r, t in zip(times["rev"], times["tree"])]
     q1, q2, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
-    print(f"suite-dense in one process, {rounds} rounds, per_half {per_half}, seed {seed}, "
+    size = (f"per_half {per_half}" if workload.name == "suite-dense" else f"m {grid}")
+    print(f"{workload.name} in one process, {rounds} rounds, {size}, seed {seed}, "
           f"{label} -> working tree:")
     print(f"  median pass {statistics.median(times['rev']):.4f} -> "
           f"{statistics.median(times['tree']):.4f} s; paired ratio quartiles "
           f"{q1:.3f} / {q2:.3f} / {q3:.3f}; working tree faster in "
           f"{sum(r < 1.0 for r in ratios)}/{rounds} rounds")
-    print(f"  {len(workload.problems)} reports per pass, bit-identical in every round")
+    print(f"  {len(sides['tree'].calls)} reports per pass, bit-identical in every round")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--workload", choices=("suite-dense", "matfree-qlp"),
+                        default="suite-dense")
     parser.add_argument("--rounds", type=int, default=60)
     parser.add_argument("--per-half", type=int, default=10,
-                        help="problems per suite half (bench/ default 10)")
+                        help="problems per suite half on suite-dense (bench/ default 10)")
+    parser.add_argument("--grid", type=int, default=316,
+                        help="grid side m on matfree-qlp (bench/ default 316)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -150,7 +180,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, tmp)
         return compare(os.path.join(tmp, "src"), args.rounds, args.per_half, args.seed,
-                       args.rev)
+                       args.rev, args.workload, args.grid)
 
 
 if __name__ == "__main__":

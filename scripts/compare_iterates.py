@@ -19,6 +19,10 @@ The set:
     problems from each of the compatible and least-squares halves,
     under each configuration in CONFIGS, with and without a monitor;
   * the three bench/ workloads at seed 1;
+  * a large preconditioned block: per class, a tridiagonal operator of
+    size LARGE_N, which spans several chunks of the preconditioned
+    step's sweep and is no multiple of one, solved with a Diagonal
+    preconditioner, with and without SHIFT;
   * a small fixed block of solves, built as in tests/, that stop for
     each of the eight reasons the sets above do not reach (stop_runs),
     with and without a monitor, plus an entry with a NaN tol, which
@@ -60,6 +64,8 @@ GENERATOR_SEEDS = range(1, 21)
 GENERATOR_PER_HALF = 10
 SMALL_XNORM = 2.0     # below the solution norm of every compatible suite problem
 SHIFT = 0.05 + 0.02j
+LARGE_N = 20011
+LARGE_MAXIT = 100
 TESTS_SEED = 42424242   # SEED of tests/test_solver.py and tests/test_ownership.py
 # name -> (SolverConfig overrides, preconditioned?)
 CONFIGS = {
@@ -197,6 +203,38 @@ def stop_runs():
             yield f"stop {name}{' monitor' if monitored else ''}", run
 
 
+def large_precond_runs():
+    """(problem id, solve thunk) for the large preconditioned block."""
+    import symkrylov as sk
+
+    n = LARGE_N
+    rng = np.random.default_rng(LARGE_N)
+    real = lambda size: rng.uniform(-1.0, 1.0, size)
+    c = real(n - 1) + 1j * real(n - 1)
+    d = 3.0 + real(n)
+    # (diagonal, superdiagonal, subdiagonal) of A in each class
+    entries = {
+        sk.SymmetryClass.HERMITIAN: (d, c, np.conj(c)),
+        sk.SymmetryClass.COMPLEX_SYMMETRIC: (d + 1j * real(n), c, c),
+        sk.SymmetryClass.SKEW_SYMMETRIC: (np.zeros(n), c, -c),
+        sk.SymmetryClass.SKEW_HERMITIAN: (1j * d, c, -np.conj(c)),
+    }
+    m = sk.Diagonal(1.0 + rng.uniform(size=n))
+    b = real(n) + 1j * real(n)
+    for cls, (diag, sup, sub) in entries.items():
+        def apply(x, diag=diag, sup=sup, sub=sub):
+            y = diag * x
+            y[:-1] += sup * x[1:]
+            y[1:] += sub * x[:-1]
+            return y
+        for shift in (0.0, SHIFT):
+            def run(cls=cls, apply=apply, shift=shift):
+                op = sk.LinearOperator(n, cls, apply)
+                config = sk.SolverConfig(tol=1e-10, maxit=LARGE_MAXIT, shift=shift)
+                return outputs(sk.solve(op, b, config=config, preconditioner=m), None)
+            yield f"large {cls.value} n{n} diagonal{' shift' if shift else ''}", run
+
+
 def generator_runs():
     """(problem id, thunk) giving each generated problem's digest and rank."""
     from symkrylov.oracle import suite_problem
@@ -229,7 +267,8 @@ def collect(tree, out_path):
     """Run the set on the package under `tree` and pickle the outputs."""
     sys.path.insert(0, os.path.join(tree, "src"))
     results = {}
-    runs = list(suite_runs()) + list(stop_runs()) + list(generator_runs())
+    runs = (list(suite_runs()) + list(stop_runs()) + list(large_precond_runs())
+            + list(generator_runs()))
     if os.path.isdir(os.path.join(tree, "bench")):
         runs += list(bench_runs(tree))
     for pid, run in runs:

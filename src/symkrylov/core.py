@@ -283,7 +283,8 @@ class LinearOperator:
 
 
 # the symmetry probe draws PROBE_PAIRS vector pairs, two operator applies
-# each, from a generator seeded with PROBE_SEED, so every solve probes alike
+# each, with parts uniform on [-1, 1) from a generator seeded with
+# PROBE_SEED, so every solve probes alike
 PROBE_PAIRS = 2
 PROBE_SEED = 20260822
 
@@ -305,8 +306,11 @@ def probe_symmetry(op: LinearOperator) -> float:
     transpose = cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)
     for _ in range(PROBE_PAIRS):
         # 2n reals per vector, read as n complex entries; y and z are one
-        # draw, which gives the values of two draws in turn
-        y, z = rng.standard_normal(4 * op.n).view(np.complex128).reshape(2, op.n)
+        # draw, which gives the values of two draws in turn.  Uniform
+        # draws take less than half the time of normal ones (3.0 against
+        # 6.6-7.8 ms for 4n at n = 99 856), and the defect is relative,
+        # so it needs no particular distribution
+        y, z = rng.uniform(-1.0, 1.0, 4 * op.n).view(np.complex128).reshape(2, op.n)
         y_norm, z_norm = norm2(y), norm2(z)
         ay = op(y)
         # read ay before the next apply: an operator may return a cached array

@@ -1,5 +1,5 @@
-"""scripts/ab_inprocess.py at per_half = 1, with the working tree's own
-src/ standing in for REV's, so no git export is needed."""
+"""scripts/ab_inprocess.py at per_half = 1 and at m = 24, with the working
+tree's own src/ standing in for REV's, so no git export is needed."""
 
 import dataclasses
 import importlib.util
@@ -36,6 +36,36 @@ def test_small_run_alternates_and_reports_same_bits(capsys):
     assert out[1].startswith("round 2 (tree first): REV ")
     assert "2 rounds, per_half 1, seed 1" in out[2]
     assert out[-1] == "  8 reports per pass, bit-identical in every round"
+
+
+def test_matfree_run_wraps_the_closure_in_each_package(capsys):
+    module = load_script()
+    try:
+        assert module.compare(os.path.join(ROOT, "src"), rounds=2, per_half=1, seed=1,
+                              label="REV", workload="matfree-qlp", grid=24) == 0
+        rev = sys.modules[module.REV_PACKAGE]
+        workload = module.build("matfree-qlp", 1, 24, 1)
+        side = module.Side(rev, workload)
+        (op, b), kwargs = side.calls[0]
+        # REV's own operator, preconditioner and config around the shared closure
+        assert type(op) is rev.LinearOperator and op.apply is workload.operator.apply
+        assert op.symmetry is rev.SymmetryClass.HERMITIAN and b is workload.b
+        assert type(kwargs["preconditioner"]) is rev.Diagonal
+        assert type(kwargs["config"]) is rev.SolverConfig
+        report = side.run()[1][0]
+        assert report.reason in rev.CONVERGED_REASONS
+        # a plain label names the workload's one solve
+        changed = dataclasses.replace(report, iterations=report.iterations + 1)
+        assert module.first_difference(side.labels, [report], [changed]) == \
+            "matfree-qlp iterations"
+    finally:
+        for name in [m for m in sys.modules if m.startswith(module.REV_PACKAGE)]:
+            del sys.modules[name]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("round 1 (rev first): REV ")
+    assert out[1].startswith("round 2 (tree first): REV ")
+    assert out[2].startswith("matfree-qlp in one process, 2 rounds, m 24, seed 1")
+    assert out[-1] == "  1 reports per pass, bit-identical in every round"
 
 
 def test_a_report_that_differs_is_named():

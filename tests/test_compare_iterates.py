@@ -47,3 +47,18 @@ def test_generator_block_covers_the_suites(compare_iterates):
     p = suite_problem("cs-h", 50, 0, 1, True)
     assert run() == [("sha256", hashlib.sha256(p.a.tobytes() + p.b.tobytes()).hexdigest()),
                      ("rank", p.rank)]
+
+
+def test_large_block_spans_chunks_in_every_class(compare_iterates):
+    from symkrylov import StopReason
+    from symkrylov import tridiagonalize as tri
+
+    n = compare_iterates.LARGE_N
+    assert n > 2 * tri._CHUNK and n % tri._CHUNK != 0
+    runs = list(compare_iterates.large_precond_runs())
+    assert len(runs) == 4 * 2 and len({pid for pid, _ in runs}) == len(runs)
+    for pid, run in runs:
+        out = dict(run())
+        # each operator is of its declared class, so every solve takes steps
+        assert out["reason"] is not StopReason.NotStructured and out["iterations"] > 0, pid
+        assert out["x"].shape == (n,)

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from symkrylov import Custom, SolverConfig, StopReason, solve
 from symkrylov import tridiagonalize as tri
 from symkrylov.core import (
     EPS,
     LinearOperator,
     PreconditionerBreakdownError,
     SymmetryClass,
+    inner_h,
+    inner_t,
 )
 from symkrylov.oracle import (
     SplitMix64,
@@ -381,3 +386,83 @@ def test_init_vector_is_rotated_b_over_beta(variant):
     row = tri.STRUCTURES[variant]
     st = tri.process_init(b, row)
     np.testing.assert_array_equal(st.v_curr, row.rotate(b) / st.beta_next)
+
+
+# precond_step's chunked sweep against the whole-vector expression it
+# replaces, kept here as the reference: same ufunc calls, operand order
+# and scalars, so z_{k+1} and alpha must agree bit for bit
+
+def unblocked_precond_z(op, st, structure, shift):
+    """(alpha, z_{k+1}) of one preconditioned step by five whole-vector
+    passes, each a new array; reads st and writes nothing of it."""
+    z, q, beta, z_prev = st.z_curr, st.q_curr, st.beta_next, st.z_prev
+    p = op(q)
+    if structure.skew:
+        alpha = 0.0
+        t = np.multiply(p, -1.0 / beta)
+    else:
+        if structure.rot != 1:
+            p = np.multiply(structure.rot, p)
+        if shift != 0.0:
+            p = np.subtract(p, np.multiply(shift, q))
+        alpha = (inner_t if structure.conj else inner_h)(q, p) / beta**2
+        t = np.subtract(np.multiply(p, 1.0 / beta), np.multiply(alpha / beta, z))
+    if z_prev is None:
+        return alpha, t
+    scaled = np.multiply(beta / st.beta_curr, z_prev)
+    return alpha, (np.add if structure.skew else np.subtract)(t, scaled)
+
+
+def sweep_operator(kind, n, rng):
+    """A complex diagonal operator, the identity that hands back its
+    argument, or a diagonal one that returns one cached array."""
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "diagonal":
+        return lambda x: c * x
+    if kind == "argument":
+        return lambda x: x
+    cache = np.empty(n, dtype=np.complex128)
+
+    def cached(x):
+        np.multiply(c, x, out=cache)
+        return cache
+    return cached
+
+
+SWEEP_SIZES = [1, tri._CHUNK - 1, tri._CHUNK, tri._CHUNK + 1, 3 * tri._CHUNK + 5]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "argument", "cached"])
+@pytest.mark.parametrize("n", SWEEP_SIZES)
+@pytest.mark.parametrize("shift", [0.0, 0.3 - 0.7j], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("variant", [CS, SS, SH, H])
+def test_precond_sweep_matches_whole_vector_passes(variant, shift, n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    row = tri.STRUCTURES[variant]
+    op = LinearOperator(n, variant, sweep_operator(kind, n, rng))
+    d = 0.5 + rng.uniform(size=n)
+    # M^{-1} = I hands z back as q on a row without conj
+    m_solve = (lambda v: v) if kind == "argument" else (lambda v: v / d)
+    st = tri.precond_init(rng.standard_normal(n) + 1j * rng.standard_normal(n), m_solve, row)
+    # scratch rows as the solver lends them, holding NaN: no result may read them
+    work = tuple(np.full((2, n), np.nan, dtype=np.complex128))
+    for k in range(4):
+        # the reference reads copies, since the step writes z_{k-1} over
+        copies = {f: None if getattr(st, f) is None else getattr(st, f).copy()
+                  for f in ("z_prev", "z_curr", "q_curr")}
+        alpha, z_next = unblocked_precond_z(op, dataclasses.replace(st, **copies), row, shift)
+        st = tri.precond_step(op, st, m_solve, row, shift, work if k % 2 else None)
+        assert np.complex128(st.alpha).tobytes() == np.complex128(alpha).tobytes()
+        assert st.z_curr.tobytes() == z_next.tobytes()
+        assert st.z_prev.tobytes() == copies["z_curr"].tobytes()
+        if k == 0:
+            # the first step has no z_{k-1} to write over
+            assert not np.shares_memory(st.z_curr, st.z_prev)
+
+
+def test_preconditioned_empty_solve_takes_no_step():
+    # an empty b gives beta_1 = 0, so the sweep never runs at n = 0 (its
+    # chunk is a constant, so its range could not have step 0 either)
+    op = LinearOperator(0, H, lambda x: x)
+    r = solve(op, np.zeros(0), config=SolverConfig(maxit=3), preconditioner=Custom(lambda v: v))
+    assert r.reason is StopReason.BetaZero_xZero and r.iterations == 0
