@@ -152,7 +152,7 @@ def compare(rev_src, rounds, per_half, seed, label, workload="suite-dense", grid
               f"ratio {times['tree'][-1] / times['rev'][-1]:.3f}", flush=True)
     ratios = [t / r for r, t in zip(times["rev"], times["tree"])]
     q1, q2, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
-    size = (f"per_half {per_half}" if workload.name == "suite-dense" else f"m {grid}")
+    size = f"per_half {per_half}" if workload.name == "suite-dense" else f"m {grid}"
     print(f"{workload.name} in one process, {rounds} rounds, {size}, seed {seed}, "
           f"{label} -> working tree:")
     print(f"  median pass {statistics.median(times['rev']):.4f} -> "

@@ -64,7 +64,7 @@ GENERATOR_SEEDS = range(1, 21)
 GENERATOR_PER_HALF = 10
 SMALL_XNORM = 2.0     # below the solution norm of every compatible suite problem
 SHIFT = 0.05 + 0.02j
-LARGE_N = 20011
+LARGE_N = 20011       # more than two chunks of the preconditioned sweep, no multiple of one
 LARGE_MAXIT = 100
 TESTS_SEED = 42424242   # SEED of tests/test_solver.py and tests/test_ownership.py
 # name -> (SolverConfig overrides, preconditioned?)

@@ -330,7 +330,7 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
         # the chunk's p / beta goes straight to z_{k+1} on the first step,
         # else to t's head, which holds no unread entry of p when p is t
         t_c = out if z_prev is None else t[:m]
-        np.multiply(p_c, p_scale, out=t_c)                       # p / beta
+        np.multiply(p_c, p_scale, out=t_c)                       # p / beta, or -p / beta
         if not structure.skew:                                   # - (alpha / beta) z
             np.subtract(t_c, np.multiply(z_scale, z_c, out=t2[:m]), out=t_c)
         if z_prev is not None:
