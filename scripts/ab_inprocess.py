@@ -2,7 +2,7 @@
 """Alternating samples of a bench/ workload, REV against the working tree, in one process.
 
     python3 scripts/ab_inprocess.py REV [--workload W] [--rounds R]
-                                        [--per-half P] [--grid M] [--seed S]
+                                        [--per-half P] [--seed S]
 
 REV (any git revision, e.g. HEAD) is exported with `git archive` to a
 temporary directory, and its src/symkrylov is imported as the package
@@ -11,7 +11,7 @@ those of the bench/ workload W, built once at seed S and handed to both
 packages:
   * suite-dense (the default): `SuiteDense(per_half=P)`; a sample is one
     pass over its problems, as dense arrays;
-  * matfree-qlp: `MatfreeQLP(m=M)`; a sample is its one solve, and each
+  * matfree-qlp: `MatfreeQLP()`; a sample is its one solve, and each
     package wraps the workload's numpy closure and diagonal in its own
     LinearOperator and Diagonal.
 Each round runs one sample with each package, REV first in odd rounds
@@ -93,9 +93,13 @@ def first_difference(problems, rev_reports, tree_reports):
     return None
 
 
-def build(workload, per_half, grid, seed):
-    """The bench/ workload named `workload`, built at `seed`."""
-    built = SuiteDense(per_half=per_half) if workload == "suite-dense" else MatfreeQLP(m=grid)
+def build(workload, per_half, seed, grid=None):
+    """The bench/ workload named `workload`, built at `seed`; `grid`
+    shrinks matfree-qlp's grid side for tests (None: bench/'s default)."""
+    if workload == "suite-dense":
+        built = SuiteDense(per_half=per_half)
+    else:
+        built = MatfreeQLP() if grid is None else MatfreeQLP(m=grid)
     built.build(seed)
     return built
 
@@ -128,10 +132,10 @@ class Side:
         return time.perf_counter() - t0, reports
 
 
-def compare(rev_src, rounds, per_half, seed, label, workload="suite-dense", grid=316):
+def compare(rev_src, rounds, per_half, seed, label, workload="suite-dense", grid=None):
     """Run the rounds against the package under rev_src; 0 when every
     report agreed bit for bit, else 1."""
-    workload = build(workload, per_half, grid, seed)
+    workload = build(workload, per_half, seed, grid)
     sides = {"rev": Side(load_package(rev_src, REV_PACKAGE), workload),
              "tree": Side(symkrylov, workload)}
     for side in sides.values():
@@ -152,7 +156,7 @@ def compare(rev_src, rounds, per_half, seed, label, workload="suite-dense", grid
               f"ratio {times['tree'][-1] / times['rev'][-1]:.3f}", flush=True)
     ratios = [t / r for r, t in zip(times["rev"], times["tree"])]
     q1, q2, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
-    size = f"per_half {per_half}" if workload.name == "suite-dense" else f"m {grid}"
+    size = f"per_half {per_half}" if workload.name == "suite-dense" else f"m {workload.m}"
     print(f"{workload.name} in one process, {rounds} rounds, {size}, seed {seed}, "
           f"{label} -> working tree:")
     print(f"  median pass {statistics.median(times['rev']):.4f} -> "
@@ -171,8 +175,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=60)
     parser.add_argument("--per-half", type=int, default=10,
                         help="problems per suite half on suite-dense (bench/ default 10)")
-    parser.add_argument("--grid", type=int, default=316,
-                        help="grid side m on matfree-qlp (bench/ default 316)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -180,7 +182,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, tmp)
         return compare(os.path.join(tmp, "src"), args.rounds, args.per_half, args.seed,
-                       args.rev, args.workload, args.grid)
+                       args.rev, args.workload)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ def test_matfree_run_wraps_the_closure_in_each_package(capsys):
         assert module.compare(os.path.join(ROOT, "src"), rounds=2, per_half=1, seed=1,
                               label="REV", workload="matfree-qlp", grid=24) == 0
         rev = sys.modules[module.REV_PACKAGE]
-        workload = module.build("matfree-qlp", 1, 24, 1)
+        workload = module.build("matfree-qlp", 1, 1, grid=24)
         side = module.Side(rev, workload)
         (op, b), kwargs = side.calls[0]
         # REV's own operator, preconditioner and config around the shared closure
