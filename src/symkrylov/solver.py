@@ -102,7 +102,8 @@ class SolverConfig:
     The condition limit is applied as acond >= max(maxcond, 1/eps).
     maxxnorm bounds ||x|| in the units of the b passed to solve.  A NaN
     tol, maxxnorm, maxcond or trancond raises ValueError: every test
-    against it would fail.  So does a maxit below 1.
+    against it would fail.  So do a maxit below 1 and a shift with a
+    NaN or infinite part, which would turn every iterate into NaN.
     """
 
     tol: float = EPS
@@ -119,6 +120,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must not be NaN")
         if self.maxit is not None and self.maxit < 1:
             raise ValueError("maxit must be at least 1")
+        if not cmath.isfinite(self.shift):
+            raise ValueError("shift must be finite (it holds NaN or Inf)")
 
 
 @dataclass

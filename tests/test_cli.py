@@ -253,6 +253,17 @@ def test_solve_bad_shift(tmp_path):
                  "--shift", "oops"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("shift", ["inf", "nan", "0,-inf"])
+def test_solve_non_finite_shift_exits_input(shift, capsys):
+    import os
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    assert main(["solve", "--matrix", os.path.join(here, "data", "hermitian_tiny.mtx"),
+                 "--rhs", os.path.join(here, "data", "hermitian_tiny_rhs.txt"),
+                 "--shift", shift]) == EXIT_INPUT
+    assert "shift must be finite" in capsys.readouterr().err
+
+
 def test_solve_shift_argument(tmp_path, capsys):
     a = np.diag([3.0, 5.0]).astype(np.complex128)
     path = _matrix_file(tmp_path, a, "symmetric")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,15 @@ def test_empty_operator_returns_beta_zero(a, variant):
 def test_nan_option_rejected(name):
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: np.nan})
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                   complex(1, math.inf)])
+def test_non_finite_shift_rejected(shift):
+    # an infinite shift would stop converged (Beta2Zero_OneStep) with an
+    # all-NaN x, and a NaN one would run to MaxIt with a NaN x
+    with pytest.raises(ValueError, match="shift"):
+        SolverConfig(shift=shift)
 
 
 def test_variant_required_for_raw_matrix():
