@@ -7,15 +7,18 @@
                                         [--seed S] [--json FILE]
 
 REV (any git revision, e.g. HEAD) is exported with `git archive` to a
-temporary directory, as scripts/compare_iterates.py does.  Both modes
-take turns: REV runs first in odd pairs (rounds) and the working tree
-first in even ones, so a drift in the host's speed does not favour one
-side.
+temporary directory; scripts/compare_iterates.py uses the same export,
+loader and bit-for-bit report.  Both modes take turns: REV runs first
+in odd pairs (rounds) and the working tree first in even ones, so a
+drift in the host's speed does not favour one side.
 
 pairs: pair i (i = 1..N) runs `python3 bench/run.py --workload W
 --seed K+i-1 --seconds S` once in each tree, each in its own
-interpreter importing its own src/; K is --first-seed (default 1), so a
-claim can be rechecked on seeds not used while the change was written.
+interpreter importing its own src/.  Both trees run from fresh
+directories, as the benchmark's own check runs both commits: REV's
+export and a copy of the working tree's src/ and bench/ (without
+__pycache__).  K is --first-seed (default 1), so a claim can be
+rechecked on seeds not used while the change was written.
 The metrics are the end-to-end ones BENCHMARK.json names.
 
 inprocess: REV's src/symkrylov is imported as the package
@@ -28,8 +31,9 @@ packages then see the same host at nearly the same moment, which
 separate processes do not: the ratio of a round's two samples is much
 less noisy than either time.  After one untimed warm-up sample per
 side, each round's reports must agree bit for bit (x, reason,
-iterations and every estimate); the script stops with exit status 1 at
-the first that does not.
+iterations and every estimate).  In the first round where one does
+not, the script prints a line for each report that differs, as
+compare_iterates.py does, and stops with exit status 1.
 
 One line per pair (round) gives both sides' figures.  Then, per metric:
 each side's median and quartiles, REV's interquartile range, and in how
@@ -55,7 +59,9 @@ import contextlib
 import dataclasses
 import importlib.util
 import json
+import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -81,7 +87,15 @@ def export(rev, dest):
     """Write the files of git revision `rev` into the directory `dest`."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              check=True, capture_output=True).stdout
+    os.makedirs(dest, exist_ok=True)
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def copy_working_tree(dest):
+    """Copy the working tree's src/ and bench/ into the directory `dest`."""
+    for part in ("src", "bench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
 
 
 def quartiles(values):
@@ -142,12 +156,12 @@ def bench(tree, workload, seed, seconds):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def pairs(rev_tree, workload, count, first_seed, seconds, label, json_path=None):
-    """Run the pairs against the tree `rev_tree`; 0."""
+def pairs(trees, workload, count, first_seed, seconds, label, json_path=None):
+    """Run the pairs in `trees`, {"rev": REV's tree, "tree": the working
+    tree's}; 0."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     runs = []
-    trees = {"rev": rev_tree, "tree": ROOT}
     for pair in range(1, count + 1):
         run = {"seed": first_seed + pair - 1, "rev": None, "tree": None}
         order = ("rev", "tree") if pair % 2 else ("tree", "rev")
@@ -179,24 +193,85 @@ def load_package(src, name):
 
 
 def bits(value):
-    """A report field reduced to what its bits are compared by."""
+    """A value reduced to what its bits are compared by; bool, int, float
+    and complex stay apart, and an Enum (each package has its own
+    StopReason) is compared by its value."""
     if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, Enum):                       # each side's own StopReason
-        return value.value
-    if isinstance(value, (float, complex)):
-        return np.complex128(value).tobytes()
-    return value
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, Enum):
+        return ("enum", value.value)
+    if isinstance(value, (bool, np.bool_)):
+        return ("bool", bool(value))
+    if isinstance(value, (int, np.integer)):
+        return ("int", int(value))
+    if isinstance(value, (float, np.floating)):
+        return ("float", np.float64(value).tobytes())
+    if isinstance(value, (complex, np.complexfloating)):
+        return ("complex", np.complex128(value).tobytes())
+    return ("repr", repr(value))
 
 
-def first_difference(problems, rev_reports, tree_reports):
-    """'problem field' of the first report field whose bits differ, or
-    None; a problem is named by its .id, or is a plain label."""
-    for p, rev, tree in zip(problems, rev_reports, tree_reports):
-        for f in dataclasses.fields(tree):
-            if bits(getattr(rev, f.name)) != bits(getattr(tree, f.name)):
-                return f"{getattr(p, 'id', p)} {f.name}"
+def outputs(report, records=None):
+    """[(name, bits)] for a SolveReport and its monitor records, in order."""
+    out = [(f.name, bits(getattr(report, f.name))) for f in dataclasses.fields(report)]
+    for i, rec in enumerate(records or ()):
+        out += [(f"records[{i}].{f.name}", bits(getattr(rec, f.name)))
+                for f in dataclasses.fields(rec)]
+    return out
+
+
+def first_difference(rev, tree):
+    """Name of the first output whose bits differ, or None; `rev` and
+    `tree` are each side's [(name, bits)]."""
+    for (name_rev, val_rev), (name_tree, val_tree) in zip(rev, tree):
+        if name_rev != name_tree:
+            return f"{name_tree} vs {name_rev}"
+        if val_rev != val_tree:
+            return name_rev
+    if len(rev) != len(tree):
+        return f"output count {len(tree)} vs {len(rev)}"
     return None
+
+
+def x_gap(rev, tree):
+    """||x - x_REV|| / ||x_REV|| for two solves' outputs, or None when
+    either one has no x (it raised).  A zero x_REV gives 0.0 when x is
+    zero too and inf otherwise."""
+    rev, tree = dict(rev), dict(tree)
+    if "x" not in rev or "x" not in tree:
+        return None
+    x_rev, x = (np.frombuffer(v[3], dtype=v[1]).reshape(v[2]) for v in (rev["x"], tree["x"]))
+    gap, base = np.linalg.norm(x - x_rev), np.linalg.norm(x_rev)
+    if base == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return float(gap / base)
+
+
+def scalar_differs(rev, tree):
+    """Whether an output that is not an array differs (or is missing on
+    one side)."""
+    rev, tree = dict(rev), dict(tree)
+    return any(rev.get(name) != tree.get(name) for name in rev.keys() | tree.keys()
+               if "array" not in (rev.get(name, ("",))[0], tree.get(name, ("",))[0]))
+
+
+def difference(rev, tree):
+    """None when the outputs `rev` and `tree` agree bit for bit.  Else
+    'differs at' the first output that does not, then for a solve
+    whether its reason and iterations agree and the x gap, then whether
+    an output that is not an array differs."""
+    diff = first_difference(rev, tree)
+    if diff is None:
+        return None
+    scalars = "a non-array output differs" if scalar_differs(rev, tree) else "arrays only"
+    gap = x_gap(rev, tree)
+    if gap is None:
+        return f"differs at {diff}; {scalars}"
+    rev, tree = dict(rev), dict(tree)
+    agree = {key: "same" if rev[key] == tree[key] else "differ"
+             for key in ("reason", "iterations")}
+    return (f"differs at {diff}; reason {agree['reason']}, iterations "
+            f"{agree['iterations']}, x gap {gap:.2e}; {scalars}")
 
 
 @contextlib.contextmanager
@@ -229,9 +304,11 @@ def inprocess(rev_src, factory, rounds, seed, label, json_path=None):
         for side in order:
             with bound(packages[side]):
                 times[side], reports[side] = timed_sample(built[side])
-        diff = first_difference(problems, reports["rev"], reports["tree"])
-        if diff is not None:
-            print(f"round {i}: reports differ at {diff}")
+        diffs = [(getattr(p, "id", p), difference(outputs(rev), outputs(tree)))
+                 for p, rev, tree in zip(problems, reports["rev"], reports["tree"])]
+        diffs = [f"round {i}: {pid}: {diff}" for pid, diff in diffs if diff is not None]
+        if diffs:
+            print("\n".join(diffs))
             return 1
         runs.append({"round": i, "rev": {"sample_s": times["rev"]},
                      "tree": {"sample_s": times["tree"]}})
@@ -268,11 +345,13 @@ def main(argv=None) -> int:
     if getattr(args, count) < 1:
         parser.error(f"--{count} must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.rev, tmp)
+        trees = {"rev": os.path.join(tmp, "rev"), "tree": os.path.join(tmp, "tree")}
+        export(args.rev, trees["rev"])
         if args.mode == "pairs":
-            return pairs(tmp, args.workload, args.pairs, args.first_seed, args.seconds,
+            copy_working_tree(trees["tree"])
+            return pairs(trees, args.workload, args.pairs, args.first_seed, args.seconds,
                          args.rev, args.json)
-        return inprocess(os.path.join(tmp, "src"), workloads.WORKLOADS[args.workload],
+        return inprocess(os.path.join(trees["rev"], "src"), workloads.WORKLOADS[args.workload],
                          args.rounds, args.seed, args.rev, args.json)
 
 

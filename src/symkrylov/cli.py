@@ -375,11 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="right-hand side A z for uniform random z")
     ps.add_argument("--variant", choices=[c.value for c in SymmetryClass],
                     help="symmetry class; inferred from the file when possible")
-    ps.add_argument("--tol", type=float, default=EPS)
-    ps.add_argument("--maxit", type=int, default=None)
-    ps.add_argument("--maxxnorm", type=float, default=1e7)
-    ps.add_argument("--maxcond", type=float, default=1e15)
-    ps.add_argument("--trancond", type=float, default=1e7)
+    defaults = SolverConfig()
+    for name, kind in (("tol", float), ("maxit", int), ("maxxnorm", float),
+                       ("maxcond", float), ("trancond", float)):
+        ps.add_argument(f"--{name}", type=kind, default=getattr(defaults, name))
     ps.add_argument("--shift", default=None, help="spectral shift RE or RE,IM")
     ps.add_argument("--precond", choices=("none", "jacobi"), default="none")
     ps.add_argument("--oracle", action="store_true",

@@ -264,10 +264,8 @@ class LinearOperator:
     n: int
     symmetry: SymmetryClass
     apply: Callable[[np.ndarray], np.ndarray]
-    _applies: int = field(default=0, repr=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self._applies += 1
         y = _as_complex_vector(self.apply(x))
         if y.shape[0] != self.n:
             raise ValueError("operator returned wrong length")

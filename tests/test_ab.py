@@ -39,17 +39,24 @@ SMALL = {
 
 @pytest.fixture
 def calls(monkeypatch):
-    """ab.bench stubbed by SOLVE_S; the list of its calls."""
-    calls = []
+    """ab.bench stubbed by SOLVE_S, ab.export by a no-op; the list of
+    bench's calls.  Neither side runs in the repository itself: REV in
+    its export, the working tree in a copy of its src/ and bench/."""
+    calls, exported = [], []
 
     def bench(tree, workload, seed, seconds):
-        side = "tree" if tree == ab.ROOT else "rev"
+        assert tree != ab.ROOT
+        side = "rev" if tree in exported else "tree"
+        if side == "tree":
+            assert os.path.isfile(os.path.join(tree, "bench", "run.py"))
+            assert os.path.isfile(os.path.join(tree, "src", "symkrylov", "solver.py"))
+            assert not [d for d, _, _ in os.walk(tree) if d.endswith("__pycache__")]
         calls.append((side, workload, seed, seconds))
         return {"solve_s": SOLVE_S[side][seed], "setup_s": 1.0, "peak_rss_mb": 70.0 + seed,
                 "ok_frac": 1.0}
 
     monkeypatch.setattr(ab, "bench", bench)
-    monkeypatch.setattr(ab, "export", lambda rev, dest: None)
+    monkeypatch.setattr(ab, "export", lambda rev, dest: exported.append(dest))
     return calls
 
 
@@ -234,8 +241,35 @@ def test_a_side_that_differs_stops_the_run(rev, capsys):
             return [dataclasses.replace(r, iterations=r.iterations + 1) for r in reports]
 
     assert ab.inprocess(SRC, lambda: Drifting(m=24), rounds=3, seed=1, label="REV") == 1
-    assert capsys.readouterr().out == "round 1: reports differ at matfree-qlp iterations\n"
+    assert capsys.readouterr().out == (
+        "round 1: matfree-qlp: differs at iterations; reason same, iterations differ, "
+        "x gap 0.00e+00; a non-array output differs\n")
     # the rev fixture checks that workloads.sk is the working tree's again
+
+
+def test_every_report_that_differs_in_the_round_is_printed(rev, capsys):
+    class Drifting(workloads.SuiteDense):
+        def run(self):
+            reports = super().run()
+            if workloads.sk is ab.symkrylov:
+                return reports
+            for i in (1, 5):
+                x = reports[i].x.copy()
+                x[0] = np.nextafter(x[0].real, np.inf) + 1j * x[0].imag
+                reports[i] = dataclasses.replace(reports[i], x=x)
+            return reports
+
+    assert ab.inprocess(SRC, lambda: Drifting(per_half=1), rounds=2, seed=1, label="REV") == 1
+    lines = capsys.readouterr().out.splitlines()
+    problems = workloads.SuiteDense(per_half=1)
+    problems.build(1)
+    assert [line.split(": ")[1] for line in lines] == \
+        [problems.problems[i].id for i in (1, 5)]
+    for line in lines:
+        assert line.startswith("round 1: ")
+        assert line.split(": ", 2)[2].startswith(
+            "differs at x; reason same, iterations same, x gap ")
+        assert line.endswith("; arrays only")
 
 
 def test_a_side_that_raises_leaves_workloads_bound_to_the_tree(rev):
@@ -252,18 +286,29 @@ def test_a_side_that_raises_leaves_workloads_bound_to_the_tree(rev):
 def test_a_report_that_differs_is_named():
     workload = workloads.SuiteDense(per_half=1)
     workload.build(1)
-    reports = workload.run()
-    assert ab.first_difference(workload.problems, reports, reports) is None
-    changed = list(reports)
-    x = reports[3].x.copy()
+    report = workload.run()[3]
+    same = ab.outputs(report)
+    assert ab.first_difference(same, same) is None and ab.difference(same, same) is None
+    x = report.x.copy()
     x[0] = np.nextafter(x[0].real, np.inf) + 1j * x[0].imag
-    changed[3] = dataclasses.replace(reports[3], x=x)
-    assert ab.first_difference(workload.problems, reports, changed) == \
-        f"{workload.problems[3].id} x"
-    changed[3] = dataclasses.replace(reports[3], phi=-0.0 if reports[3].phi == 0.0 else 0.0)
-    assert ab.first_difference(workload.problems, reports, changed) == \
-        f"{workload.problems[3].id} phi"
-    # a workload without problems names its one solve by the workload
-    changed = [dataclasses.replace(reports[0], iterations=reports[0].iterations + 1)]
-    assert ab.first_difference(["matfree-qlp"], reports[:1], changed) == \
-        "matfree-qlp iterations"
+    changed = ab.outputs(dataclasses.replace(report, x=x))
+    assert ab.first_difference(same, changed) == "x"
+    gap = np.linalg.norm(x - report.x) / np.linalg.norm(report.x)
+    assert ab.difference(same, changed) == \
+        f"differs at x; reason same, iterations same, x gap {gap:.2e}; arrays only"
+    changed = ab.outputs(dataclasses.replace(report, phi=-0.0 if report.phi == 0.0 else 0.0))
+    assert ab.first_difference(same, changed) == "phi"
+    assert ab.difference(same, changed) == ("differs at phi; reason same, iterations same, "
+                                            "x gap 0.00e+00; a non-array output differs")
+    # a raised error is an output with no x
+    raised = [("raised", ("repr", "ValueError: tol must not be NaN"))]
+    assert ab.difference(same, raised) == \
+        "differs at raised vs x; a non-array output differs"
+
+
+def test_bits_keep_kinds_apart():
+    kinds = [True, 1, 1.0, 1.0 + 0.0j, np.float64(1.0), np.array([1.0])]
+    assert len({ab.bits(v) for v in kinds}) == 5      # np.float64 is a float
+    assert ab.bits(np.int64(1)) == ab.bits(1) and ab.bits(np.bool_(True)) == ab.bits(True)
+    assert ab.bits(0.0) != ab.bits(-0.0)
+    assert ab.bits(workloads.sk.StopReason.MaxIt) == ("enum", "MaxIt")

@@ -9,6 +9,7 @@ from symkrylov.cli import (
     EXIT_OK,
     EXIT_REGULARIZED,
     InputError,
+    build_parser,
     main,
     mm_read,
     mm_write,
@@ -24,6 +25,7 @@ from symkrylov.oracle import (
     skew_symmetric_matrix,
     symmetric_imaginary_matrix,
 )
+from symkrylov.solver import SolverConfig
 
 
 def _round_trip(tmp_path, dense, kind):
@@ -262,6 +264,13 @@ def test_solve_non_finite_shift_exits_input(shift, capsys):
                  "--rhs", os.path.join(here, "data", "hermitian_tiny_rhs.txt"),
                  "--shift", shift]) == EXIT_INPUT
     assert "shift must be finite" in capsys.readouterr().err
+
+
+def test_solve_defaults_are_the_solver_config_defaults():
+    args = build_parser().parse_args(["solve", "--matrix", "a.mtx"])
+    defaults = SolverConfig()
+    for name in ("tol", "maxit", "maxxnorm", "maxcond", "trancond"):
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 def test_solve_shift_argument(tmp_path, capsys):
