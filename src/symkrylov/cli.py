@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -211,18 +210,6 @@ def _parse_shift(text: str) -> complex:
         raise InputError(f"bad shift {text!r}; use RE or RE,IM") from exc
 
 
-def _resolve_seed(arg_seed: Optional[int]) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get("SYMKRYLOV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"SYMKRYLOV_SEED={env!r} is not an integer") from exc
-    return DEFAULT_SEED
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     mat, symmetry = mm_read(args.matrix)
     if args.variant is not None:
@@ -240,7 +227,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         from .oracle import SplitMix64
 
-        rng = SplitMix64(_resolve_seed(args.seed))
+        rng = SplitMix64(args.seed)
         z = rng.uniforms(mat.n).astype(np.complex128)
         b = mat.matvec(z) if args.rhs_compatible else z
 
@@ -348,8 +335,7 @@ def write_records(records: List[RunRecord], out: TextIO) -> None:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else _FAMILY_DEFAULT_N[args.family]
-    seed = _resolve_seed(args.seed)
-    records = run_suite(args.family, n, args.count, seed, args.reorthogonalize)
+    records = run_suite(args.family, n, args.count, args.seed, args.reorthogonalize)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_records(records, fh)
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--oracle", action="store_true",
                     help="also solve densely by SVD and report the gap")
     ps.add_argument("--out", help="write the solution vector here")
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ps.set_defaults(func=cmd_solve)
 
     pe = sub.add_parser("experiment", help="run a generated suite to CSV")
@@ -392,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, default=None)
     pe.add_argument("--count", type=int, default=10,
                     help="problems per half (compatible and incompatible)")
-    pe.add_argument("--seed", type=int, default=None)
+    pe.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pe.add_argument("--out", help="CSV path (stdout when omitted)")
     pe.add_argument("--reorthogonalize", action="store_true",
                     help="full reorthogonalization (exact rank termination "
@@ -406,10 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -59,20 +59,6 @@ def _as_complex_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=np.complex128).reshape(-1)
 
 
-def inner_t(x: np.ndarray, y: np.ndarray) -> complex:
-    """Unconjugated (transpose) inner product x^T y."""
-    if x.shape != y.shape:
-        raise ValueError("inner_t: shape mismatch")
-    return complex(np.dot(x, y))
-
-
-def inner_h(x: np.ndarray, y: np.ndarray) -> complex:
-    """Conjugated inner product x^* y."""
-    if x.shape != y.shape:
-        raise ValueError("inner_h: shape mismatch")
-    return complex(np.vdot(x, y))
-
-
 def norm2(x: np.ndarray) -> float:
     """The 2-norm, safe where the sum of squares under- or overflows.
 
@@ -111,13 +97,14 @@ def norm2(x: np.ndarray) -> float:
     return nrm
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseMatrix:
     """Square sparse matrix in CSR form, built from COO triplets.
 
     Duplicate entries are summed.  The arrays are treated as immutable
-    once built: the row of each entry, and the slot-major copy of the
-    entries that the matvec reads, are computed here, once.
+    once built: they are checked, and the row of each entry and the
+    slot-major copy of the entries that the matvec reads are computed,
+    here, once.
 
     Slot-major copy: with k the length of the longest row, entry j of
     row i sits at [j, i] of a C-contiguous (k, n) array, and a padded
@@ -134,13 +121,22 @@ class SparseMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _slot_indices: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _slot_data: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _gather_first: bool = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _slot_indices: Optional[np.ndarray] = field(init=False, repr=False)
+    _slot_data: Optional[np.ndarray] = field(init=False, repr=False)
+    _gather_first: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = np.diff(self.indptr)
+        n, indptr = self.n, np.asarray(self.indptr)
+        indices, data = np.asarray(self.indices), np.asarray(self.data)
+        if n < 0 or indptr.shape != (n + 1,) or indptr[0] != 0:
+            raise ValueError(f"indptr must have shape (n + 1,) for n = {n} and start at 0")
+        counts = np.diff(indptr)
+        if counts.min(initial=0) < 0 or not indices.shape == data.shape == (indptr[-1],):
+            raise ValueError("indptr must never decrease and end at len(indices) == len(data)")
+        if indices.min(initial=0) < 0 or indices.max(initial=-1) >= n:
+            raise ValueError(f"column index out of range [0, {n})")
+        self.indptr, self.indices, self.data = indptr, indices, data
         self._rows = np.repeat(np.arange(self.n), counts)
         k = int(counts.max(initial=0))
         self._slot_indices = self._slot_data = None
@@ -170,8 +166,8 @@ class SparseMatrix:
         vals = np.asarray(vals, dtype=np.complex128).reshape(-1)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("COO triplet arrays must have equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("COO index out of range")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):     # the constructor checks cols
+            raise ValueError("COO row index out of range")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if rows.size:
@@ -273,10 +269,7 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, a, symmetry: SymmetryClass) -> "LinearOperator":
-        if isinstance(a, SparseMatrix):
-            mat = a
-        else:
-            mat = SparseMatrix.from_dense(np.asarray(a))
+        mat = a if isinstance(a, SparseMatrix) else SparseMatrix.from_dense(a)
         return cls(n=mat.n, symmetry=symmetry, apply=mat.matvec)
 
 
@@ -313,7 +306,7 @@ def probe_symmetry(op: LinearOperator) -> float:
         ay = op(y)
         # read ay before the next apply: an operator may return a cached array
         ay_norm = norm2(ay)
-        z_ay = inner_t(z, ay) if transpose else np.conj(inner_h(z, ay))
+        z_ay = complex(np.dot(z, ay)) if transpose else np.conj(np.vdot(z, ay))
         az = op(z)
         az_norm = norm2(az)
         # max() would drop a NaN, so a NaN operator would pass the probe
@@ -321,7 +314,7 @@ def probe_symmetry(op: LinearOperator) -> float:
             raise NonFiniteError("operator returned NaN or Inf in the symmetry probe")
         anorm_est = max(anorm_est, ay_norm / y_norm, az_norm / z_norm)
         scale = max(anorm_est * y_norm * z_norm, EPS)
-        y_az = inner_t(y, az) if transpose else inner_h(y, az)
+        y_az = complex(np.dot(y, az)) if transpose else complex(np.vdot(y, az))
         if cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.HERMITIAN):
             defect = abs(y_az - z_ay)
         else:

@@ -205,7 +205,7 @@ def dense_qlp(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q1.conj().T, low, p
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratedProblem:
     """One suite problem: operator data plus the right-hand side."""
 

@@ -3,7 +3,9 @@
 M must be positive definite with symmetry compatible with the problem
 class (real symmetric for the transpose-paired classes, Hermitian for
 the conjugate-paired ones); the solver checks this indirectly through
-the positivity of its inner products.
+the positivity of its inner products.  The solver reads what .solve
+returns as a complex vector: any array that flattens to z's length
+will do, and any other length raises ValueError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class Identity:
         return z.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagonal:
     """M = diag(d) with d real positive.
 
@@ -39,7 +41,7 @@ class Diagonal:
     """
 
     d: np.ndarray
-    _dinv: np.ndarray = field(init=False, repr=False, compare=False)
+    _dinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64).reshape(-1)
@@ -54,12 +56,13 @@ class Diagonal:
 
 @dataclass(frozen=True)
 class Custom:
-    """Wrap any callable applying M^{-1}."""
+    """Wrap any callable applying M^{-1}; its output is returned as it
+    comes, and the solver converts and checks it."""
 
     apply_inverse: Callable[[np.ndarray], np.ndarray]
 
     def solve(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.apply_inverse(z), dtype=np.complex128).reshape(-1)
+        return self.apply_inverse(z)
 
 
 def jacobi_from_matrix(a) -> object:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Tuple, Union
@@ -102,8 +103,9 @@ class SolverConfig:
     The condition limit is applied as acond >= max(maxcond, 1/eps).
     maxxnorm bounds ||x|| in the units of the b passed to solve.  A NaN
     tol, maxxnorm, maxcond or trancond raises ValueError: every test
-    against it would fail.  So do a maxit below 1 and a shift with a
-    NaN or infinite part, which would turn every iterate into NaN.
+    against it would fail.  So do a maxit that is not an integer or is
+    below 1, and a shift with a NaN or infinite part, which would turn
+    every iterate into NaN.
     """
 
     tol: float = EPS
@@ -118,13 +120,15 @@ class SolverConfig:
         for name in ("tol", "maxxnorm", "maxcond", "trancond"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
+        if self.maxit is not None and not isinstance(self.maxit, numbers.Integral):
+            raise ValueError(f"maxit must be an integer, got {self.maxit!r}")
         if self.maxit is not None and self.maxit < 1:
             raise ValueError("maxit must be at least 1")
         if not cmath.isfinite(self.shift):
             raise ValueError("shift must be finite (it holds NaN or Inf)")
 
 
-@dataclass
+@dataclass(eq=False)
 class MonitorRecord:
     """Per-iteration diagnostics passed to the monitor callback.
 
@@ -146,7 +150,7 @@ class MonitorRecord:
     x: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """The result of one solve.  iterations counts the iterations the
     engine finished; x, phi, psi and chi belong to the last of them."""
@@ -465,7 +469,8 @@ class _Engine:
 
 # basis vectors u the QLP phase holds back between two products with the
 # block; each row is one more resident vector, and 3 kept peak memory
-# where 4 did not, at no cost in time against 2 (see ROADMAP item 3)
+# where 4 did not, at no cost in time against 2 (the m = 2, 3, 4 runs are
+# in CHANGES.md, entry "QLP phase: one block per solve")
 _WINDOW = 3
 
 

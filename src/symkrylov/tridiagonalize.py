@@ -40,8 +40,7 @@ from .core import (
     LinearOperator,
     PreconditionerBreakdownError,
     SymmetryClass,
-    inner_h,
-    inner_t,
+    _as_complex_vector,
     norm2,
 )
 
@@ -122,7 +121,7 @@ class _Basis:
         return cand
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TridiagState:
     """State after k process steps.
 
@@ -183,7 +182,7 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
         cand = cand - st.beta_next * st.v_prev
     alpha = 0.0
     if not structure.skew:
-        alpha = inner_h(v, cand)
+        alpha = complex(np.vdot(v, cand))
         cand = cand - alpha * v
     if st.basis is not None:
         cand = st.basis.orthogonalize(cand)
@@ -239,16 +238,16 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
     """Solve for q and return (q, beta) with beta = sqrt(<q, z>), or
     beta = NaN when z holds NaN or Inf, which the solver stops on.
 
+    This is where a preconditioner's output enters: it is flattened to
+    a complex128 vector, and a length other than z's raises ValueError.
     A `conj` row pairs through conj(z) and the transpose inner product,
     which then comes out real for real positive definite M; every other
     row pairs through the Hermitian inner product.
     """
-    if structure.conj:
-        q = np.asarray(m_solve(np.conj(z)), dtype=np.complex128)
-        prod = inner_t(q, z)
-    else:
-        q = np.asarray(m_solve(z), dtype=np.complex128)
-        prod = inner_h(q, z)
+    q = _as_complex_vector(m_solve(np.conj(z) if structure.conj else z))
+    if q.shape != z.shape:
+        raise ValueError(f"preconditioner returned length {q.shape[0]}, expected {z.shape[0]}")
+    prod = complex(np.dot(q, z) if structure.conj else np.vdot(q, z))
     if not (cmath.isfinite(prod) and prod.real > 0.0):
         # a finite positive q'z needs a finite nonzero z, so only here
         # can z be zero (beta = 0) or hold NaN or Inf
@@ -316,8 +315,7 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
             p = np.multiply(structure.rot, p, out=t)             # rot * p
         if shift != 0.0:
             p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)  # p - shift * q
-        inner = inner_t if structure.conj else inner_h
-        alpha = inner(q, p) / beta**2
+        alpha = complex(np.dot(q, p) if structure.conj else np.vdot(q, p)) / beta**2
         p_scale = 1.0 / beta
     z_next = np.empty_like(z) if z_prev is None else z_prev
     z_scale = alpha / beta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symkrylov.cli import (
+    DEFAULT_SEED,
     EXIT_INPUT,
     EXIT_MAXIT,
     EXIT_OK,
@@ -346,23 +347,23 @@ def test_experiment_reorthogonalize(tmp_path):
     assert _rows_without_wall_time(out) == _rows_without_wall_time(str(want))
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    out1 = str(tmp_path / "r1.csv")
-    out2 = str(tmp_path / "r2.csv")
-    out3 = str(tmp_path / "r3.csv")
-    main(["experiment", "--family", "cs-m", "--n", "12", "--count", "1",
-          "--seed", "7", "--out", out1])
+def _experiment_rows(tmp_path, name, *seed):
+    out = str(tmp_path / name)
+    assert main(["experiment", "--family", "cs-m", "--n", "12", "--count", "1",
+                 *seed, "--out", out]) == EXIT_OK
+    return _rows_without_wall_time(out)
+
+
+def test_seed_option_picks_the_suite(tmp_path):
+    first = _experiment_rows(tmp_path, "r1.csv", "--seed", "7")
+    assert _experiment_rows(tmp_path, "r2.csv", "--seed", "7") == first
+    assert _experiment_rows(tmp_path, "r3.csv", "--seed", "8") != first
+
+
+def test_seed_comes_from_the_option_alone(tmp_path, monkeypatch):
+    want = _experiment_rows(tmp_path, "want.csv", "--seed", str(DEFAULT_SEED))
     monkeypatch.setenv("SYMKRYLOV_SEED", "7")
-    main(["experiment", "--family", "cs-m", "--n", "12", "--count", "1",
-          "--out", out2])
-    assert _rows_without_wall_time(out1) == _rows_without_wall_time(out2)
-    monkeypatch.setenv("SYMKRYLOV_SEED", "8")
-    main(["experiment", "--family", "cs-m", "--n", "12", "--count", "1",
-          "--out", out3])
-    assert _rows_without_wall_time(out1) != _rows_without_wall_time(out3)
-    monkeypatch.setenv("SYMKRYLOV_SEED", "oops")
-    assert main(["experiment", "--family", "cs-m", "--n", "12",
-                 "--count", "1", "--out", out3]) == EXIT_INPUT
+    assert _experiment_rows(tmp_path, "got.csv") == want
 
 
 def test_run_suite_records_shape():

@@ -10,20 +10,9 @@ from symkrylov.core import (
     StructureError,
     SymmetryClass,
     as_vector,
-    inner_h,
-    inner_t,
     norm2,
     probe_symmetry,
 )
-
-
-def test_inner_t_oracles():
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert inner_t(e1, e2) == 0.0
-    assert inner_t(np.array([2.0]), np.array([3.0])) == 6.0
-    # transpose product has no conjugation
-    assert inner_t(np.array([1j]), np.array([1j])) == -1.0 + 0.0j
 
 
 @pytest.mark.parametrize("k", [-1000, -900, -600, 600, 900, 1000])
@@ -45,10 +34,26 @@ def test_norm2_edge_values():
     assert np.isnan(norm2(np.array([np.nan, np.inf])))
 
 
-def test_inner_h_oracles():
-    assert inner_h(np.array([1j]), np.array([1j])) == 1.0
-    assert inner_h(np.array([1.0, 1j]), np.array([1.0, 1j])) == 2.0
-    assert inner_h(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([0, 1, 2, 3], [0, -1, 2], np.ones(3)),     # would read x[-1] = x[2]
+    ([0, 1, 2, 3], [0, 3, 2], np.ones(3)),
+    ([0, 1, 3], [0, 1, 2], np.ones(3)),         # indptr too short
+    ([1, 1, 2, 3], [0, 1, 2], np.ones(3)),
+    ([0, 2, 1, 3], [0, 1, 2], np.ones(3)),
+    ([0, 1, 2, 2], [0, 1, 2], np.ones(3)),
+    ([0, 1, 2, 3], [0, 1, 2], np.ones(2)),
+    ([[0, 1, 2, 3]], [0, 1, 2], np.ones(3)),
+])
+def test_sparse_matrix_checks_its_arrays(indptr, indices, data):
+    with pytest.raises(ValueError):
+        SparseMatrix(3, np.array(indptr), np.array(indices), data)
+
+
+def test_sparse_matrix_accepts_empty_rows_and_no_rows():
+    m = SparseMatrix(3, np.array([0, 0, 2, 2]), np.array([0, 2]), np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(m.matvec([1.0, 5.0, 3.0]), [0.0, 7.0, 0.0])
+    empty = SparseMatrix(0, np.array([0]), np.array([], dtype=np.int64), np.array([]))
+    assert empty.matvec([]).shape == (0,)
 
 
 def test_as_vector_checks_length():
@@ -69,6 +74,9 @@ def test_from_coo_rejects_out_of_range():
         SparseMatrix.from_coo(2, [0, 2], [0, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
         SparseMatrix.from_coo(2, [0], [0, 1], [1.0, 1.0])
+    for col in (-1, 2):
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseMatrix.from_coo(2, [0], [col], [1.0])
 
 
 def test_matvec_oracles():

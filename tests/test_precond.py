@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -197,3 +200,38 @@ def test_preconditioned_skew_symmetric_complex_rhs():
 def test_custom_wraps_callable():
     m = Custom(lambda v: v / 3.0)
     np.testing.assert_allclose(m.solve(np.array([3.0, 6.0])), [1.0, 2.0])
+
+
+def _precond_problem(variant):
+    """A 12 x 12 problem of the class and a diagonal M^{-1} for it."""
+    if variant == "cs":
+        p = suite_problem("cs-h", 12, 0, SEED, True)
+        a, b = p.a, p.b
+    else:
+        a = np.diag(np.arange(1.0, 13.0)) + 0.5j * (np.eye(12, k=1) - np.eye(12, k=-1))
+        b = SplitMix64(80).uniforms(12) + 1j
+    return a, b, 0.5 + SplitMix64(79).uniforms(12)
+
+
+@pytest.mark.parametrize("variant", ["cs", "hermitian"])
+def test_wrong_length_preconditioner_output_is_named(variant):
+    a, b, d = _precond_problem(variant)
+    with pytest.raises(ValueError, match="preconditioner returned length 11, expected 12"):
+        solve(a, b, variant, preconditioner=Custom(lambda v: (v / d)[:-1]))
+
+
+def _report_bits(report):
+    return [np.asarray(getattr(report, f.name)).tobytes() if f.name != "reason"
+            else report.reason for f in dataclasses.fields(report)]
+
+
+@pytest.mark.parametrize("wrap", [Custom, lambda f: SimpleNamespace(solve=f)],
+                         ids=["Custom", "bare"])
+@pytest.mark.parametrize("shape", [(-1, 1), (1, -1)])
+@pytest.mark.parametrize("variant", ["cs", "hermitian"])
+def test_column_and_row_preconditioner_output_gives_the_vector_run(variant, shape, wrap):
+    a, b, d = _precond_problem(variant)
+    want = solve(a, b, variant, preconditioner=wrap(lambda v: v / d))
+    got = solve(a, b, variant, preconditioner=wrap(lambda v: (v / d).reshape(shape)))
+    assert want.iterations > 1
+    assert _report_bits(got) == _report_bits(want)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symkrylov import tridiagonalize as tri
 from symkrylov.core import (
     EPS,
     LinearOperator,
@@ -17,9 +18,11 @@ from symkrylov.oracle import (
     symmetric_imaginary_matrix,
     tsvd_solve,
 )
+from symkrylov.precond import Diagonal
 from symkrylov.solver import (
     CONVERGED_REASONS,
     MonitorRecord,
+    SolveReport,
     SolverConfig,
     StopReason,
     solve,
@@ -128,6 +131,39 @@ def test_maxit_validation():
 def test_maxit_below_one_rejected_by_config(maxit):
     with pytest.raises(ValueError, match="maxit"):
         SolverConfig(maxit=maxit)
+
+
+@pytest.mark.parametrize("maxit", [2.5, 3.0, "3"])
+def test_non_integer_maxit_rejected_by_config(maxit):
+    with pytest.raises(ValueError, match="maxit must be an integer"):
+        SolverConfig(maxit=maxit)
+
+
+def test_numpy_integer_maxit_accepted():
+    r = solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), "hermitian",
+              SolverConfig(maxit=np.int64(3)))
+    assert r.reason in CONVERGED_REASONS and r.iterations == 3
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # the generated __eq__ compared array fields and raised on them
+    first, second = [], []
+    for records in (first, second):
+        solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), "hermitian", monitor=records.append)
+    b = np.ones(4, dtype=np.complex128)
+    hermitian = tri.STRUCTURES[SymmetryClass.HERMITIAN]
+    pairs = [
+        (SparseMatrix.from_dense(np.eye(3)), SparseMatrix.from_dense(np.eye(3))),
+        (Diagonal(np.ones(3)), Diagonal(np.ones(3))),
+        (SolveReport(np.zeros(3), StopReason.MaxIt), SolveReport(np.zeros(3), StopReason.MaxIt)),
+        (suite_problem("cs-h", 6, 0, SEED, True), suite_problem("cs-h", 6, 0, SEED, True)),
+        (tri.process_init(b, hermitian), tri.process_init(b, hermitian)),
+        (first[0], second[0]),
+    ]
+    for one, other in pairs:
+        assert not one == other and one != other
+        assert one == one
+    assert hash(pairs[1][0]) != hash(pairs[1][1])
 
 
 def test_default_maxit_of_empty_operator_rejected():

@@ -10,8 +10,6 @@ from symkrylov.core import (
     LinearOperator,
     PreconditionerBreakdownError,
     SymmetryClass,
-    inner_h,
-    inner_t,
 )
 from symkrylov.oracle import (
     SplitMix64,
@@ -405,7 +403,7 @@ def unblocked_precond_z(op, st, structure, shift):
             p = np.multiply(structure.rot, p)
         if shift != 0.0:
             p = np.subtract(p, np.multiply(shift, q))
-        alpha = (inner_t if structure.conj else inner_h)(q, p) / beta**2
+        alpha = complex(np.dot(q, p) if structure.conj else np.vdot(q, p)) / beta**2
         t = np.subtract(np.multiply(p, 1.0 / beta), np.multiply(alpha / beta, z))
     if z_prev is None:
         return alpha, t
