@@ -30,10 +30,14 @@ bench/run.py times one, with BLAS held to one thread as there.  Both
 packages then see the same host at nearly the same moment, which
 separate processes do not: the ratio of a round's two samples is much
 less noisy than either time.  After one untimed warm-up sample per
-side, each round's reports must agree bit for bit (x, reason,
-iterations and every estimate).  In the first round where one does
-not, the script prints a line for each report that differs, as
-compare_iterates.py does, and stops with exit status 1.
+side, every round runs, and each round's reports are compared bit for
+bit (x, reason, iterations and every estimate).  A report that differs
+gets a line, as compare_iterates.py prints it, the first time that
+exact line appears; each round's line counts the reports that differ,
+and the summary gives their number, the rounds they were in, the
+largest x gap and whether a reason or an iteration count differs.  So
+a change that moves roundoff can still be timed, and the run exits
+with status 1 whenever anything differed.
 
 One line per pair (round) gives both sides' figures.  Then, per metric:
 each side's median and quartiles, REV's interquartile range, and in how
@@ -44,7 +48,9 @@ quartiles of the paired ratio working tree / REV.
 `--json FILE` also stores all of it in FILE, next to what FILE holds
 already (FILE is created if need be): the settings, each pair's (round's)
 figures for both sides and the summary, under the key "W from seed K"
-(pairs) or "W in one process from seed S" (inprocess).  So a claim and
+(pairs) or "W in one process from seed S" (inprocess).  An in-process
+entry also holds each round's count of differing reports and, under
+"differing", the summary's figures for them.  So a claim and
 its recheck on fresh seeds share one file; a second run under the same
 key replaces the first.  Entries under other keys, such as a bare
 workload name (files written before the key held the first seed), are
@@ -285,8 +291,24 @@ def bound(package):
         workloads.sk = saved
 
 
+def differences(problems, rev_reports, tree_reports):
+    """[(line, x gap, whether reason or iterations differ)] for each
+    report that does not agree bit for bit with REV's; line is the
+    problem's id and its difference(), and the x gap is None when a
+    report has no x."""
+    found = []
+    for problem, rev, tree in zip(problems, rev_reports, tree_reports):
+        rev, tree = outputs(rev), outputs(tree)
+        diff = difference(rev, tree)
+        if diff is not None:
+            rev_d, tree_d = dict(rev), dict(tree)
+            solve = any(rev_d.get(key) != tree_d.get(key) for key in ("reason", "iterations"))
+            found.append((f"{getattr(problem, 'id', problem)}: {diff}", x_gap(rev, tree), solve))
+    return found
+
+
 def inprocess(rev_src, factory, rounds, seed, label, json_path=None):
-    """Run the rounds of the workload `factory()` against the package
+    """Run every round of the workload `factory()` against the package
     under `rev_src`; 0 when every report agreed bit for bit, else 1."""
     packages = {"rev": load_package(rev_src, REV_PACKAGE), "tree": symkrylov}
     built = {}
@@ -297,31 +319,41 @@ def inprocess(rev_src, factory, rounds, seed, label, json_path=None):
             built[side].run()
     name = built["tree"].name
     problems = getattr(built["tree"], "problems", [name])
-    runs = []
+    runs, printed, diffs = [], set(), []
     for i in range(1, rounds + 1):
         order = ("rev", "tree") if i % 2 else ("tree", "rev")
         times, reports = {}, {}
         for side in order:
             with bound(packages[side]):
                 times[side], reports[side] = timed_sample(built[side])
-        diffs = [(getattr(p, "id", p), difference(outputs(rev), outputs(tree)))
-                 for p, rev, tree in zip(problems, reports["rev"], reports["tree"])]
-        diffs = [f"round {i}: {pid}: {diff}" for pid, diff in diffs if diff is not None]
-        if diffs:
-            print("\n".join(diffs))
-            return 1
+        found = differences(problems, reports["rev"], reports["tree"])
+        for line in [line for line, _, _ in found if line not in printed]:
+            printed.add(line)
+            print(f"round {i}: {line}")
+        diffs += [(i, gap, solve) for _, gap, solve in found]
         runs.append({"round": i, "rev": {"sample_s": times["rev"]},
-                     "tree": {"sample_s": times["tree"]}})
+                     "tree": {"sample_s": times["tree"]}, "differ": len(found)})
         print(f"round {i} ({order[0]} first): {label} {times['rev']:.4f} s, working tree "
-              f"{times['tree']:.4f} s, ratio {times['tree'] / times['rev']:.3f}", flush=True)
+              f"{times['tree']:.4f} s, ratio {times['tree'] / times['rev']:.3f}, "
+              f"{len(found)} differ", flush=True)
     q1, q2, q3 = quartiles([run["tree"]["sample_s"] / run["rev"]["sample_s"] for run in runs])
+    differing = {"reports": len(diffs), "rounds": sorted({i for i, _, _ in diffs}),
+                 "max_x_gap": max((gap for _, gap, _ in diffs if gap is not None), default=0.0),
+                 "reason_or_iterations_differ": any(solve for _, _, solve in diffs)}
+    verdict = "bit-identical in every round"
+    if diffs:
+        verdict = (f"{len(diffs)} reports differ, in rounds "
+                   f"{', '.join(map(str, differing['rounds']))}; largest x gap "
+                   f"{differing['max_x_gap']:.2e}; reason or iterations "
+                   f"{'differ' if differing['reason_or_iterations_differ'] else 'same'}")
     print(f"{name} in one process, {rounds} rounds, seed {seed}, {label} -> working tree:")
     print(f"  paired ratio quartiles {q1:.3f} / {q2:.3f} / {q3:.3f}; "
-          f"{len(problems)} reports per sample, bit-identical in every round")
+          f"{len(problems)} reports per sample, {verdict}")
     entry = {"workload": name, "seed": seed, "rev": label, "rounds": rounds,
-             "ratio": {"q1": q1, "median": q2, "q3": q3}}
-    return finish(runs, {"sample_s": "lower"}, "rounds",
-                  f"{name} in one process from seed {seed}", entry, json_path)
+             "ratio": {"q1": q1, "median": q2, "q3": q3}, "differing": differing}
+    finish(runs, {"sample_s": "lower"}, "rounds",
+           f"{name} in one process from seed {seed}", entry, json_path)
+    return 1 if diffs else 0
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from .core import EPS, SparseMatrix, SymmetryClass, norm2
-from .oracle import suite_problem, tsvd_solve
+from .oracle import SplitMix64, suite_problem, tsvd_solve
 from .precond import jacobi_from_matrix
 from .solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
 
@@ -44,6 +44,10 @@ EXIT_MAXIT = 3
 EXIT_INPUT = 4
 
 _FAMILY_DEFAULT_N = {"cs-h": 50, "cs-m": 50, "ss": 51, "sh": 51}
+
+# the SolverConfig fields that solve takes as options of their own name
+_CONFIG_OPTIONS = (("tol", float), ("maxit", int), ("maxxnorm", float), ("maxcond", float),
+                   ("trancond", float))
 
 
 class InputError(Exception):
@@ -225,22 +229,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.rhs is not None:
         b = read_rhs(args.rhs, mat.n)
     else:
-        from .oracle import SplitMix64
-
         rng = SplitMix64(args.seed)
         z = rng.uniforms(mat.n).astype(np.complex128)
         b = mat.matvec(z) if args.rhs_compatible else z
 
     shift = _parse_shift(args.shift) if args.shift else 0.0
     try:
-        cfg = SolverConfig(
-            tol=args.tol,
-            maxit=args.maxit,
-            maxxnorm=args.maxxnorm,
-            maxcond=args.maxcond,
-            trancond=args.trancond,
-            shift=shift,
-        )
+        cfg = SolverConfig(shift=shift, **{name: getattr(args, name)
+                                           for name, _ in _CONFIG_OPTIONS})
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     precond = jacobi_from_matrix(mat) if args.precond == "jacobi" else None
@@ -335,7 +331,12 @@ def write_records(records: List[RunRecord], out: TextIO) -> None:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else _FAMILY_DEFAULT_N[args.family]
-    records = run_suite(args.family, n, args.count, args.seed, args.reorthogonalize)
+    if args.count < 0:          # 0 gives an empty suite, a CSV header alone
+        raise InputError(f"--count must not be negative, got {args.count}")
+    try:
+        records = run_suite(args.family, n, args.count, args.seed, args.reorthogonalize)
+    except ValueError as exc:       # an n below the family's least
+        raise InputError(str(exc)) from exc
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_records(records, fh)
@@ -362,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--variant", choices=[c.value for c in SymmetryClass],
                     help="symmetry class; inferred from the file when possible")
     defaults = SolverConfig()
-    for name, kind in (("tol", float), ("maxit", int), ("maxxnorm", float),
-                       ("maxcond", float), ("trancond", float)):
+    for name, kind in _CONFIG_OPTIONS:
         ps.add_argument(f"--{name}", type=kind, default=getattr(defaults, name))
     ps.add_argument("--shift", default=None, help="spectral shift RE or RE,IM")
     ps.add_argument("--precond", choices=("none", "jacobi"), default="none")

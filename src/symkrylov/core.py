@@ -43,20 +43,19 @@ class SymmetryClass(str, Enum):
     HERMITIAN = "hermitian"
 
 
-def as_vector(x, n: Optional[int] = None) -> np.ndarray:
-    """Copy input into a 1-d complex128 array, optionally checking length."""
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if n is not None and v.shape[0] != n:
-        raise ValueError(f"expected length {n}, got {v.shape[0]}")
-    return v.copy()
+def as_vector(x, n: int, what: str) -> np.ndarray:
+    """x as a 1-d complex128 array of length n: x itself when it is one
+    already, else converted and flattened, a view where numpy can.
 
-
-def _as_complex_vector(x) -> np.ndarray:
-    """x as a 1-d complex128 array: x itself when it is one already, else
-    converted and flattened, a view where numpy can."""
-    if type(x) is np.ndarray and x.dtype is _COMPLEX128 and x.ndim == 1:
-        return x
-    return np.asarray(x, dtype=np.complex128).reshape(-1)
+    Every vector that enters a solve from outside passes here: b, an
+    operator's output and a preconditioner's output.  A length other
+    than n raises ValueError naming `what`.
+    """
+    if not (type(x) is np.ndarray and x.dtype is _COMPLEX128 and x.ndim == 1):
+        x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if x.shape[0] != n:
+        raise ValueError(f"{what} has length {x.shape[0]}, expected {n}")
+    return x
 
 
 def norm2(x: np.ndarray) -> float:
@@ -209,9 +208,7 @@ class SparseMatrix:
         return int(self.data.size)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = _as_complex_vector(x)
-        if x.shape[0] != self.n:
-            raise ValueError("matvec: length mismatch")
+        x = as_vector(x, self.n, "matvec input")
         if self._slot_data is not None:
             # each row's products summed in column order from +0.0, as
             # the scatter-add below does, so the bits are the same: a
@@ -240,7 +237,7 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.complex128)
-        a[self._rows, self.indices] += self.data
+        np.add.at(a, (self._rows, self.indices), self.data)      # sums repeated entries
         return a
 
     def diagonal(self) -> np.ndarray:
@@ -262,10 +259,7 @@ class LinearOperator:
     apply: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = _as_complex_vector(self.apply(x))
-        if y.shape[0] != self.n:
-            raise ValueError("operator returned wrong length")
-        return y
+        return as_vector(self.apply(x), self.n, "operator output")
 
     @classmethod
     def from_matrix(cls, a, symmetry: SymmetryClass) -> "LinearOperator":

@@ -242,12 +242,17 @@ def suite_problem(family: str, n: int, index: int, seed: int,
                   compatible: bool) -> GeneratedProblem:
     """Deterministic problem index `index` of a family suite.
 
-    cs families are generated at rank n-3; ss relies on odd n for its
-    nullity; sh is singular by construction.  Compatible right-hand
-    sides are A z with z uniform; incompatible ones are plain uniform.
+    cs families are generated at rank n-3, so they need n >= 3; ss
+    relies on odd n for its nullity; sh is singular by construction.
+    An n below the family's least raises ValueError.  Compatible
+    right-hand sides are A z with z uniform; incompatible ones are
+    plain uniform.
     """
     if family not in _FAMILY_CODE:
         raise ValueError(f"unknown family {family!r}")
+    least = 3 if family.startswith("cs") else 1
+    if n < least:
+        raise ValueError(f"{family} problems need n >= {least}, got {n}")
     rng = _stream(seed, family, index, compatible)
     if family == "cs-h":
         a = symmetric_imaginary_matrix(n, n - 3, rng)

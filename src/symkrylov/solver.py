@@ -94,6 +94,11 @@ CONVERGED_REASONS = frozenset(
 )
 
 
+def _number(value, kind) -> bool:
+    """Whether value is a number of the abstract kind; a bool is not one."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one solve.
@@ -101,11 +106,15 @@ class SolverConfig:
     maxit defaults to 4n.  trancond <= 1 forces the QLP phase from the
     first iteration; trancond > 1/eps keeps plain MINRES throughout.
     The condition limit is applied as acond >= max(maxcond, 1/eps).
-    maxxnorm bounds ||x|| in the units of the b passed to solve.  A NaN
-    tol, maxxnorm, maxcond or trancond raises ValueError: every test
-    against it would fail.  So do a maxit that is not an integer or is
-    below 1, and a shift with a NaN or infinite part, which would turn
-    every iterate into NaN.
+    maxxnorm bounds ||x|| in the units of the b passed to solve.
+
+    tol, maxxnorm, maxcond and trancond must be real numbers and are
+    stored as float, shift a complex number stored as complex, maxit an
+    integer and check_structure a bool; a bool is no number here.  A
+    wrong type raises ValueError naming the field.  So does a NaN tol,
+    maxxnorm, maxcond or trancond, since every test against it would
+    fail, a maxit below 1, and a shift with a NaN or infinite part,
+    which would turn every iterate into NaN.
     """
 
     tol: float = EPS
@@ -117,15 +126,25 @@ class SolverConfig:
     check_structure: bool = True
 
     def __post_init__(self):
+        # each field is checked, and stored in its own type, here once
         for name in ("tol", "maxxnorm", "maxcond", "trancond"):
-            if math.isnan(getattr(self, name)):
+            value = getattr(self, name)
+            if not _number(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
-        if self.maxit is not None and not isinstance(self.maxit, numbers.Integral):
+            object.__setattr__(self, name, float(value))
+        if self.maxit is not None and not _number(self.maxit, numbers.Integral):
             raise ValueError(f"maxit must be an integer, got {self.maxit!r}")
         if self.maxit is not None and self.maxit < 1:
             raise ValueError("maxit must be at least 1")
+        if not _number(self.shift, numbers.Complex):
+            raise ValueError(f"shift must be a complex number, got {self.shift!r}")
         if not cmath.isfinite(self.shift):
             raise ValueError("shift must be finite (it holds NaN or Inf)")
+        object.__setattr__(self, "shift", complex(self.shift))
+        if not isinstance(self.check_structure, bool):
+            raise ValueError(f"check_structure must be a bool, got {self.check_structure!r}")
 
 
 @dataclass(eq=False)
@@ -180,7 +199,6 @@ class _Driver:
         self.op = op
         self.row = row = tri.STRUCTURES[op.symmetry]
         self.conj, self.skew = row.conj, row.skew
-        shift = complex(shift)
         # a conj row keeps the shift inside the process; the others
         # move T's diagonal by rot*shift, which is -shift for a skew row
         self.process_shift = shift if row.conj else 0.0
@@ -275,7 +293,7 @@ class _Engine:
 
     def __init__(self, n: int, beta1: float, cfg: SolverConfig):
         self.n, self.cfg, self.beta1 = n, cfg, beta1
-        self.rtol = max(float(cfg.tol), EPS)
+        self.rtol = max(cfg.tol, EPS)
         self.k = 0
         # the sentinel c = -1 makes iteration 1 come out as
         # gamma_1 = alpha_1, delta_2 = sup_2
@@ -633,7 +651,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     """
     cfg = config or SolverConfig()
     op = _as_operator(A, variant)
-    b = as_vector(b, op.n)
+    b = as_vector(b, op.n, "b").copy()
     if not np.isfinite(b).all():
         raise ValueError("b must be finite (it holds NaN or Inf)")
     n = op.n

@@ -40,7 +40,7 @@ from .core import (
     LinearOperator,
     PreconditionerBreakdownError,
     SymmetryClass,
-    _as_complex_vector,
+    as_vector,
     norm2,
 )
 
@@ -225,28 +225,19 @@ def hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
     return _step(op, st, _HERMITIAN, shift, w)
 
 
-def _real_positive(product: complex, what: str) -> float:
-    if abs(product.imag) > BREAKDOWN_RTOL * abs(product) or product.real <= 0.0:
-        raise PreconditionerBreakdownError(
-            f"{what} = {product!r} is not positive real; "
-            "preconditioner must be positive definite with the right symmetry"
-        )
-    return float(product.real)
-
-
 def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
-    """Solve for q and return (q, beta) with beta = sqrt(<q, z>), or
-    beta = NaN when z holds NaN or Inf, which the solver stops on.
+    """Solve for q and return (q, beta) with beta = sqrt(<q, z>): 0 for
+    a zero z, and NaN or Inf, which the solver stops on, when z holds
+    NaN or Inf or <q, z> is NaN or +Inf.
 
-    This is where a preconditioner's output enters: it is flattened to
-    a complex128 vector, and a length other than z's raises ValueError.
+    This is where a preconditioner's output enters, through as_vector.
     A `conj` row pairs through conj(z) and the transpose inner product,
     which then comes out real for real positive definite M; every other
-    row pairs through the Hermitian inner product.
+    row pairs through the Hermitian inner product.  Any other <q, z>
+    that is not positive real raises PreconditionerBreakdownError.
     """
-    q = _as_complex_vector(m_solve(np.conj(z) if structure.conj else z))
-    if q.shape != z.shape:
-        raise ValueError(f"preconditioner returned length {q.shape[0]}, expected {z.shape[0]}")
+    q = as_vector(m_solve(np.conj(z) if structure.conj else z), z.shape[0],
+                  "preconditioner output")
     prod = complex(np.dot(q, z) if structure.conj else np.vdot(q, z))
     if not (cmath.isfinite(prod) and prod.real > 0.0):
         # a finite positive q'z needs a finite nonzero z, so only here
@@ -257,7 +248,12 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
             return q, math.nan
         if z_norm == 0.0:
             return q, 0.0
-    return q, float(np.sqrt(_real_positive(prod, "q'z")))
+    # a NaN or +Inf q'z passes this test: beta comes out non-finite, which
+    # the solver stops on
+    if abs(prod.imag) > BREAKDOWN_RTOL * abs(prod) or prod.real <= 0.0:
+        raise PreconditionerBreakdownError(f"q'z = {prod!r} is not positive real; preconditioner "
+                                           "must be positive definite with the right symmetry")
+    return q, math.sqrt(prod.real)
 
 
 def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
@@ -268,8 +264,6 @@ def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
     and the second step writes z_3 into its storage.
     """
     z1 = structure.rotate(np.asarray(b, dtype=np.complex128))
-    if norm2(z1) == 0.0:
-        return TridiagState(k=0, beta_next=0.0, z_curr=z1, q_curr=np.zeros_like(z1))
     q1, beta1 = _precond_pair(z1, m_solve, structure)
     return TridiagState(k=0, beta_next=beta1, z_curr=z1, q_curr=q1)
 

@@ -193,6 +193,7 @@ def test_every_workload_runs_in_one_process(name, rev, tmp_path, capsys):
     out_lines = capsys.readouterr().out.splitlines()
     assert out_lines[0].startswith("round 1 (rev first): REV ")
     assert out_lines[1].startswith("round 2 (tree first): REV ")
+    assert out_lines[0].endswith(", 0 differ") and out_lines[1].endswith(", 0 differ")
     assert out_lines[2] == f"{name} in one process, 2 rounds, seed 1, REV -> working tree:"
     reports = 8 if name == "suite-dense" else 1
     assert out_lines[3].endswith(f"; {reports} reports per sample, bit-identical in every round")
@@ -201,6 +202,9 @@ def test_every_workload_runs_in_one_process(name, rev, tmp_path, capsys):
     assert (entry["workload"], entry["seed"], entry["rev"], entry["rounds"]) == \
         (name, 1, "REV", 2)
     assert [run["round"] for run in entry["runs"]] == [1, 2]
+    assert [run["differ"] for run in entry["runs"]] == [0, 0]
+    assert entry["differing"] == {"reports": 0, "rounds": [], "max_x_gap": 0.0,
+                                  "reason_or_iterations_differ": False}
     assert entry["summary"]["sample_s"]["tree_wins"] in (0, 1, 2)
     times = [(run["rev"]["sample_s"], run["tree"]["sample_s"]) for run in entry["runs"]]
     assert entry["ratio"]["median"] == statistics.median(t / r for r, t in times)
@@ -232,7 +236,7 @@ def test_each_side_builds_and_runs_with_its_own_package(rev):
     assert type(built.config) is rev().SolverConfig
 
 
-def test_a_side_that_differs_stops_the_run(rev, capsys):
+def test_a_side_that_differs_is_timed_in_every_round(rev, tmp_path, capsys):
     class Drifting(workloads.MatfreeQLP):
         def run(self):
             reports = super().run()
@@ -240,10 +244,24 @@ def test_a_side_that_differs_stops_the_run(rev, capsys):
                 return reports
             return [dataclasses.replace(r, iterations=r.iterations + 1) for r in reports]
 
-    assert ab.inprocess(SRC, lambda: Drifting(m=24), rounds=3, seed=1, label="REV") == 1
-    assert capsys.readouterr().out == (
-        "round 1: matfree-qlp: differs at iterations; reason same, iterations differ, "
-        "x gap 0.00e+00; a non-array output differs\n")
+    out = tmp_path / "bench.json"
+    assert ab.inprocess(SRC, lambda: Drifting(m=24), rounds=3, seed=1, label="REV",
+                        json_path=str(out)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the difference is printed once, the first time it appears
+    assert lines[0] == ("round 1: matfree-qlp: differs at iterations; reason same, "
+                        "iterations differ, x gap 0.00e+00; a non-array output differs")
+    for i, first in ((1, "rev"), (2, "tree"), (3, "rev")):
+        assert lines[i].startswith(f"round {i} ({first} first): REV ")
+        assert lines[i].endswith(", 1 differ")
+    assert lines[4] == "matfree-qlp in one process, 3 rounds, seed 1, REV -> working tree:"
+    assert lines[5].endswith("; 1 reports per sample, 3 reports differ, in rounds 1, 2, 3; "
+                             "largest x gap 0.00e+00; reason or iterations differ")
+    assert lines[6].endswith("/3 rounds") and len(lines) == 7
+    entry = json.loads(out.read_text())["matfree-qlp in one process from seed 1"]
+    assert [run["differ"] for run in entry["runs"]] == [1, 1, 1]
+    assert entry["differing"] == {"reports": 3, "rounds": [1, 2, 3], "max_x_gap": 0.0,
+                                  "reason_or_iterations_differ": True}
     # the rev fixture checks that workloads.sk is the working tree's again
 
 
@@ -263,13 +281,21 @@ def test_every_report_that_differs_in_the_round_is_printed(rev, capsys):
     lines = capsys.readouterr().out.splitlines()
     problems = workloads.SuiteDense(per_half=1)
     problems.build(1)
-    assert [line.split(": ")[1] for line in lines] == \
+    # round 2 repeats round 1's two lines, so only round 1 prints them
+    diff_lines, timing = lines[:2], lines[2:4]
+    assert [line.split(": ")[1] for line in diff_lines] == \
         [problems.problems[i].id for i in (1, 5)]
-    for line in lines:
+    for line in diff_lines:
         assert line.startswith("round 1: ")
         assert line.split(": ", 2)[2].startswith(
             "differs at x; reason same, iterations same, x gap ")
         assert line.endswith("; arrays only")
+    assert timing[0].startswith("round 1 (rev first): ") and timing[0].endswith(", 2 differ")
+    assert timing[1].startswith("round 2 (tree first): ") and timing[1].endswith(", 2 differ")
+    gap = max(float(line.split("x gap ")[1].split(";")[0]) for line in diff_lines)
+    assert lines[5].endswith(f"; 8 reports per sample, 4 reports differ, in rounds 1, 2; "
+                             f"largest x gap {gap:.2e}; reason or iterations same")
+    assert "bit-identical" not in "\n".join(lines)
 
 
 def test_a_side_that_raises_leaves_workloads_bound_to_the_tree(rev):

@@ -84,6 +84,8 @@ def _write(tmp_path, text):
     "%%MatrixMarket matrix coordinate integer general\n2 2 0\n",
     "%%MatrixMarket matrix coordinate real skew-hermitian\n2 2 0\n",
     "%%MatrixMarket matrix coordinate real general\nnot numbers\n",
+    "%%MatrixMarket matrix coordinate real general\n",                    # no size line
+    "%%MatrixMarket matrix coordinate real general\n% a comment, then nothing\n",
     "%%MatrixMarket matrix coordinate real general\n2 3 0\n",
     "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
     "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 2.0\n",
@@ -95,6 +97,15 @@ def _write(tmp_path, text):
 def test_rejected_files(tmp_path, text):
     with pytest.raises(InputError):
         mm_read(_write(tmp_path, text))
+
+
+def test_mm_write_rejects_unknown_kind_and_complex_hermitian_diagonal(tmp_path):
+    path = str(tmp_path / "a.mtx")
+    with pytest.raises(InputError, match="unsupported symmetry kind 'skew-hermitian'"):
+        mm_write(path, SparseMatrix.from_dense(np.eye(2)), "skew-hermitian")
+    with pytest.raises(InputError, match="hermitian write needs a real diagonal"):
+        mm_write(path, SparseMatrix.from_dense(np.diag([1.0, 1.0 + 1e-3j])), "hermitian")
+    assert not (tmp_path / "a.mtx").exists()
 
 
 def test_rhs_formats(tmp_path):
@@ -286,6 +297,18 @@ def test_solve_shift_argument(tmp_path, capsys):
     np.testing.assert_allclose(read_rhs(out, 2), np.ones(2), atol=1e-10)
 
 
+def test_solve_oracle_solves_the_shifted_system(tmp_path, capsys):
+    # the SVD reference must shift too: unshifted, its x is (2/3, 4/5)
+    path = _matrix_file(tmp_path, np.diag([3.0, 5.0]).astype(np.complex128), "symmetric")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("2.0\n4.0\n")
+    code = main(["solve", "--matrix", path, "--rhs", str(rhs), "--shift", "1,0", "--oracle"])
+    assert code == EXIT_OK
+    relerr = float(next(ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith("relerr_vs_svd:")))
+    assert relerr <= 1e-12
+
+
 def test_solve_jacobi_flag(tmp_path):
     rng = np.random.default_rng(11)
     n = 16
@@ -325,6 +348,28 @@ def test_experiment_empty_suite(tmp_path):
     assert code == EXIT_OK
     rows = _rows_without_wall_time(out)
     assert len(rows) == 1
+
+
+def test_experiment_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    assert main(["experiment", "--family", "sh", "--n", "5", "--count", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert rows[0][:2] == ["id", "n"] and [row[0] for row in rows[1:]] == \
+        ["sh-n5-c000", "sh-n5-i000"]
+    assert captured.err.startswith("sh: ") and "runs with relerr <= 1e-5" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cs-h", "--n", "2"], ["--family", "cs-m", "--n", "0"],
+    ["--family", "ss", "--n", "0"], ["--family", "sh", "--n", "-4"],
+    ["--family", "ss", "--n", "5", "--count", "-1"],
+], ids=["cs-h-2", "cs-m-0", "ss-0", "sh-negative", "negative-count"])
+def test_experiment_small_n_or_count_exits_input(tmp_path, capsys, argv):
+    out = tmp_path / "runs.csv"
+    assert main(["experiment", *argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_experiment_deterministic_given_seed(tmp_path):

@@ -57,10 +57,38 @@ def test_sparse_matrix_accepts_empty_rows_and_no_rows():
 
 
 def test_as_vector_checks_length():
-    v = as_vector([1, 2, 3], 3)
-    assert v.dtype == np.complex128
-    with pytest.raises(ValueError):
-        as_vector([1, 2], 3)
+    v = as_vector([1, 2, 3], 3, "b")
+    assert v.dtype == np.complex128 and v.shape == (3,)
+    assert as_vector(v, 3, "b") is v
+    column = np.ones((3, 1), dtype=np.complex128)
+    assert np.shares_memory(as_vector(column, 3, "b"), column)
+    with pytest.raises(ValueError, match="b has length 2, expected 3"):
+        as_vector([1, 2], 3, "b")
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda m: m.matvec(np.ones(2)), "matvec input"),
+    (lambda m: LinearOperator(3, SymmetryClass.HERMITIAN, lambda x: x[:2])(np.ones(3)),
+     "operator output"),
+], ids=["matvec", "operator"])
+def test_wrong_length_vectors_are_named(call, what):
+    with pytest.raises(ValueError, match=f"{what} has length 2, expected 3"):
+        call(SparseMatrix.from_dense(np.eye(3)))
+
+
+def test_to_dense_sums_repeated_entries():
+    # a directly built CSR matrix may repeat a (row, column) entry
+    m = SparseMatrix(2, np.array([0, 2, 3]), np.array([0, 0, 1]), np.array([1.0, 2.0, 5.0]))
+    np.testing.assert_array_equal(m.matvec([1.0, 1.0]), [3.0, 5.0])
+    np.testing.assert_array_equal(m.diagonal(), [3.0, 5.0])
+    np.testing.assert_array_equal(m.to_dense(), [[3.0, 0.0], [0.0, 5.0]])
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))],
+                         ids=["rectangle", "vector", "3-d"])
+def test_from_dense_rejects_non_square_input(a):
+    with pytest.raises(ValueError, match="dense input must be square"):
+        SparseMatrix.from_dense(a)
 
 
 def test_from_coo_sums_duplicates():

@@ -274,6 +274,13 @@ def test_suite_problem_rejects_unknown_family():
         suite_problem("dense", 10, 0, 1, True)
 
 
+@pytest.mark.parametrize("family, least", [("cs-h", 3), ("cs-m", 3), ("ss", 1), ("sh", 1)])
+def test_suite_problem_needs_the_family_least_n(family, least):
+    with pytest.raises(ValueError, match=f"{family} problems need n >= {least}, got {least - 1}"):
+        suite_problem(family, least - 1, 0, 1, True)
+    assert suite_problem(family, least, 0, 1, False).a.shape == (least, least)
+
+
 def test_distinct_streams_give_distinct_problems():
     a = suite_problem("cs-h", 16, 0, 99, True).a
     b = suite_problem("cs-h", 16, 1, 99, True).a

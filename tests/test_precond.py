@@ -216,8 +216,24 @@ def _precond_problem(variant):
 @pytest.mark.parametrize("variant", ["cs", "hermitian"])
 def test_wrong_length_preconditioner_output_is_named(variant):
     a, b, d = _precond_problem(variant)
-    with pytest.raises(ValueError, match="preconditioner returned length 11, expected 12"):
+    with pytest.raises(ValueError, match="preconditioner output has length 11, expected 12"):
         solve(a, b, variant, preconditioner=Custom(lambda v: (v / d)[:-1]))
+
+
+@pytest.mark.parametrize("variant", ["cs", "hermitian"])
+def test_zero_rhs_with_preconditioner_stops_beta_zero(variant):
+    # the preconditioner is called once, on the zero b, and q'z = 0 ends the run
+    a, _, d = _precond_problem(variant)
+    calls = []
+
+    def m_solve(v):
+        calls.append(v.copy())
+        return v / d
+
+    r = solve(a, np.zeros(12), variant, preconditioner=Custom(m_solve))
+    assert r.reason is StopReason.BetaZero_xZero and r.iterations == 0
+    assert len(calls) == 1 and not calls[0].any()
+    np.testing.assert_array_equal(r.x, np.zeros(12))
 
 
 def _report_bits(report):

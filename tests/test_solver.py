@@ -197,6 +197,25 @@ def test_non_finite_shift_rejected(shift):
         SolverConfig(shift=shift)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", None), ("maxxnorm", "1e7"), ("maxcond", True), ("trancond", 1j),
+    ("shift", "1"), ("shift", None), ("shift", False),
+    ("maxit", True), ("check_structure", "no"), ("check_structure", 1),
+])
+def test_wrong_option_type_is_named(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        SolverConfig(**{name: value})
+
+
+def test_options_are_stored_in_their_own_type():
+    cfg = SolverConfig(tol=1, maxxnorm=np.float32(2.0), maxcond=10**3, trancond=1,
+                       shift=np.complex64(1 + 2j))
+    for name, value in (("tol", 1.0), ("maxxnorm", 2.0), ("maxcond", 1e3),
+                        ("trancond", 1.0), ("shift", 1 + 2j)):
+        assert type(getattr(cfg, name)) is type(value) and getattr(cfg, name) == value
+    assert type(SolverConfig(shift=2).shift) is complex
+
+
 def test_variant_required_for_raw_matrix():
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones(2))
