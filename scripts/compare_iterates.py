@@ -203,7 +203,8 @@ def large_precond_runs():
     entries = {
         "hermitian": (d, c, np.conj(c)),
         "cs": (d + 1j * real(n), c, c),
-        "ss": (np.zeros(n), c, -c),
+        # the ss row solves A = -A^H; a complex A = -A^T fits no class
+        "ss": (np.zeros(n), c.real, -c.real),
         "sh": (1j * d, c, -np.conj(c)),
     }
     m_diagonal = 1.0 + rng.uniform(size=n)

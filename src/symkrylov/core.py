@@ -43,6 +43,42 @@ class SymmetryClass(str, Enum):
     HERMITIAN = "hermitian"
 
 
+@dataclass(frozen=True)
+class Structure:
+    """How one symmetry class enters the shared recurrence of
+    tridiagonalize (its module docstring says what each field does
+    there), and the one statement of the class's pairing.
+
+    The pairing is a^T b on a `conj` row and a^H b on every other row.
+    Under it rot*A is self-adjoint, or skew-adjoint on a `skew` row:
+    A = A^T (cs), A = A^H (hermitian), i*A = (i*A)^H, so A = -A^H (sh),
+    and A = -A^H (ss).  The `ss` process is real Lanczos on C^n read as
+    R^(2n), whose inner product is Re(a^H b): under it alpha vanishes
+    for any A = -A^H, and real skew A, the paper's case, is one such.
+    A complex A = -A^T fits no row.
+    """
+
+    rot: complex
+    conj: bool
+    skew: bool
+
+    def rotate(self, x):
+        """rot*x; x itself when rot is 1, so no copy and no rounding."""
+        return x if self.rot == 1 else self.rot * x
+
+    def pair(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """a^T b on a `conj` row, a^H b otherwise."""
+        return complex(np.dot(a, b) if self.conj else np.vdot(a, b))
+
+
+STRUCTURES = {
+    SymmetryClass.COMPLEX_SYMMETRIC: Structure(rot=1, conj=True, skew=False),
+    SymmetryClass.SKEW_SYMMETRIC: Structure(rot=1, conj=False, skew=True),
+    SymmetryClass.SKEW_HERMITIAN: Structure(rot=1j, conj=False, skew=False),
+    SymmetryClass.HERMITIAN: Structure(rot=1, conj=False, skew=False),
+}
+
+
 def as_vector(x, n: int, what: str) -> np.ndarray:
     """x as a 1-d complex128 array of length n: x itself when it is one
     already, else converted and flattened, a view where numpy can.
@@ -275,7 +311,9 @@ PROBE_SEED = 20260822
 
 
 def probe_symmetry(op: LinearOperator) -> float:
-    """Check the declared symmetry on PROBE_PAIRS random vector pairs.
+    """Check the declared symmetry on PROBE_PAIRS random vector pairs:
+    that B = rot*A is self-adjoint under the class's pairing, or
+    skew-adjoint on a `skew` row (see Structure).
 
     Returns the worst relative defect, 0.0 for an empty operator, which
     has no vector to probe with.  Raises StructureError (a ValueError)
@@ -284,11 +322,9 @@ def probe_symmetry(op: LinearOperator) -> float:
     """
     if op.n == 0:
         return 0.0
+    row = STRUCTURES[op.symmetry]
     rng = np.random.default_rng(PROBE_SEED)
-    worst = 0.0
-    anorm_est = 0.0
-    cls = op.symmetry
-    transpose = cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)
+    worst = anorm_est = 0.0
     for _ in range(PROBE_PAIRS):
         # 2n reals per vector, read as n complex entries; y and z are one
         # draw, which gives the values of two draws in turn.  Uniform
@@ -297,23 +333,19 @@ def probe_symmetry(op: LinearOperator) -> float:
         # so it needs no particular distribution
         y, z = rng.uniform(-1.0, 1.0, 4 * op.n).view(np.complex128).reshape(2, op.n)
         y_norm, z_norm = norm2(y), norm2(z)
-        ay = op(y)
-        # read ay before the next apply: an operator may return a cached array
-        ay_norm = norm2(ay)
-        z_ay = complex(np.dot(z, ay)) if transpose else np.conj(np.vdot(z, ay))
-        az = op(z)
-        az_norm = norm2(az)
+        by = row.rotate(op(y))
+        # read By before the next apply: an operator may return a cached array
+        by_norm = norm2(by)
+        by_z = row.pair(by, z)
+        bz = row.rotate(op(z))
+        bz_norm = norm2(bz)
         # max() would drop a NaN, so a NaN operator would pass the probe
-        if not (math.isfinite(ay_norm) and math.isfinite(az_norm)):
+        if not (math.isfinite(by_norm) and math.isfinite(bz_norm)):
             raise NonFiniteError("operator returned NaN or Inf in the symmetry probe")
-        anorm_est = max(anorm_est, ay_norm / y_norm, az_norm / z_norm)
-        scale = max(anorm_est * y_norm * z_norm, EPS)
-        y_az = complex(np.dot(y, az)) if transpose else complex(np.vdot(y, az))
-        if cls in (SymmetryClass.COMPLEX_SYMMETRIC, SymmetryClass.HERMITIAN):
-            defect = abs(y_az - z_ay)
-        else:
-            defect = abs(y_az + z_ay)
-        worst = max(worst, defect / scale)
+        anorm_est = max(anorm_est, by_norm / y_norm, bz_norm / z_norm)
+        # <y, Bz> - <By, z>, or + on a skew row
+        defect = abs(row.pair(y, bz) + (by_z if row.skew else -by_z))
+        worst = max(worst, defect / max(anorm_est * y_norm * z_norm, EPS))
     if worst > 1e-10:
         raise StructureError(
             f"operator is not {op.symmetry.value} (relative defect {worst:.2e})"

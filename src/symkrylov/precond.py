@@ -1,11 +1,12 @@
 """Preconditioners: objects with a .solve(z) applying M^{-1}.
 
 M must be positive definite with symmetry compatible with the problem
-class (real symmetric for the transpose-paired classes, Hermitian for
-the conjugate-paired ones); the solver checks this indirectly through
-the positivity of its inner products.  The solver reads what .solve
-returns as a complex vector: any array that flattens to z's length
-will do, and any other length raises ValueError.
+class's pairing (core.Structure.pair): real symmetric for cs, whose
+pairing is the transpose, Hermitian for ss, sh and hermitian, which
+pair through the conjugate transpose; the solver checks this
+indirectly through the positivity of q'z in that pairing.  The solver
+reads what .solve returns as a complex vector: any array that flattens
+to z's length will do, and any other length raises ValueError.
 """
 
 from __future__ import annotations

@@ -111,10 +111,11 @@ class SolverConfig:
     tol, maxxnorm, maxcond and trancond must be real numbers and are
     stored as float, shift a complex number stored as complex, maxit an
     integer and check_structure a bool; a bool is no number here.  A
-    wrong type raises ValueError naming the field.  So does a NaN tol,
-    maxxnorm, maxcond or trancond, since every test against it would
-    fail, a maxit below 1, and a shift with a NaN or infinite part,
-    which would turn every iterate into NaN.
+    wrong type raises ValueError naming the field.  So does a number
+    beyond float range (an int such as 10**400), a NaN tol, maxxnorm,
+    maxcond or trancond, since every test against it would fail, a
+    maxit below 1, and a shift with a NaN or infinite part, which would
+    turn every iterate into NaN.
     """
 
     tol: float = EPS
@@ -127,22 +128,25 @@ class SolverConfig:
 
     def __post_init__(self):
         # each field is checked, and stored in its own type, here once
-        for name in ("tol", "maxxnorm", "maxcond", "trancond"):
+        for name in ("tol", "maxxnorm", "maxcond", "trancond", "shift"):
             value = getattr(self, name)
-            if not _number(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if math.isnan(value):
+            kind, convert = (numbers.Complex, complex) if name == "shift" else (numbers.Real, float)
+            number = f"a {kind.__name__.lower()} number"
+            if not _number(value, kind):
+                raise ValueError(f"{name} must be {number}, got {value!r}")
+            try:
+                value = convert(value)
+            except OverflowError:       # an int beyond float range
+                raise ValueError(f"{name} must be {number} in float range") from None
+            if name == "shift" and not cmath.isfinite(value):
+                raise ValueError("shift must be finite (it holds NaN or Inf)")
+            if cmath.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if self.maxit is not None and not _number(self.maxit, numbers.Integral):
             raise ValueError(f"maxit must be an integer, got {self.maxit!r}")
         if self.maxit is not None and self.maxit < 1:
             raise ValueError("maxit must be at least 1")
-        if not _number(self.shift, numbers.Complex):
-            raise ValueError(f"shift must be a complex number, got {self.shift!r}")
-        if not cmath.isfinite(self.shift):
-            raise ValueError("shift must be finite (it holds NaN or Inf)")
-        object.__setattr__(self, "shift", complex(self.shift))
         if not isinstance(self.check_structure, bool):
             raise ValueError(f"check_structure must be a bool, got {self.check_structure!r}")
 
@@ -198,11 +202,11 @@ class _Driver:
                  m_solve: Optional[Callable], reorthogonalize: bool):
         self.op = op
         self.row = row = tri.STRUCTURES[op.symmetry]
-        self.conj, self.skew = row.conj, row.skew
-        # a conj row keeps the shift inside the process; the others
-        # move T's diagonal by rot*shift, which is -shift for a skew row
-        self.process_shift = shift if row.conj else 0.0
-        self.diagonal_shift = -shift if row.skew else row.rotate(shift)
+        # a conj row keeps the shift inside the process, so T's diagonal
+        # is alpha there; the others move it by rot*shift, which is
+        # -shift for a skew row
+        self.process_shift, self.diagonal_shift = (
+            (shift, 0.0) if row.conj else (0.0, -shift if row.skew else row.rotate(shift)))
         self.m_solve = m_solve
         if m_solve is not None:
             self.step = tri.precond_step
@@ -231,16 +235,13 @@ class _Driver:
             st = self.st = self.step(self.op, st, self.m_solve, self.row, self.process_shift,
                                      work)
         else:
-            u = np.conj(st.v_curr, out=out) if self.conj else st.v_curr
+            u = np.conj(st.v_curr, out=out) if self.row.conj else st.v_curr
             st = self.st = self.step(self.op, st, self.process_shift, u)
         alpha, beta_next = st.alpha, st.beta_next
         if not (cmath.isfinite(alpha) and math.isfinite(beta_next)):
-            raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, "
-                                 f"beta = {beta_next!r}")
+            raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, beta = {beta_next!r}")
         bn = complex(beta_next)
-        if self.conj:
-            return u, alpha, bn, bn, st.beta_curr, beta_next
-        if self.skew:
+        if self.row.skew:
             # alpha vanishes on a skew row; only the shift is on T's diagonal
             return u, self.diagonal_shift, -bn, bn, st.beta_curr, beta_next
         return u, alpha - self.diagonal_shift, bn, bn, st.beta_curr, beta_next

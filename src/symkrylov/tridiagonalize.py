@@ -3,7 +3,8 @@
 Each process builds, one step at a time, a unitary basis V and scalars
 (alpha_k, beta_k) so that the operator acts tridiagonally on the basis.
 All four symmetry classes run the same three-term recurrence; the row
-`STRUCTURES[cls]` says how a class enters it:
+`STRUCTURES[cls]` (core.Structure, which also states each class's
+pairing) says how a class enters it:
 
 * `rot`: the recurrence runs on rot*A from the start vector rot*b
   (i for skew Hermitian, which turns i*A Hermitian; 1 otherwise);
@@ -12,7 +13,8 @@ All four symmetry classes run the same three-term recurrence; the row
   inner product instead;
 * `skew`: alpha vanishes identically and each new basis vector picks
   up a minus sign (skew symmetric), so T carries -beta below its
-  diagonal.
+  diagonal.  The basis is orthonormal under Re(u^H w), the inner
+  product of C^n read as R^(2n), so T is real.
 
 Where the shift lands also follows from the row.  A `conj` row keeps it
 inside the recurrence: a diagonal shift of T would be wrong there
@@ -24,7 +26,7 @@ subtract only a shift they are handed.
 A reorthogonalized plain process keeps v_1..v_k as the rows of one
 contiguous block (`_Basis`) and takes each new direction through two
 passes of classical Gram-Schmidt (CGS2) against all of them, each pass
-two matrix-vector products with the block.
+two matrix-vector products with the block, in the row's inner product.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import (
+    STRUCTURES,
     LinearOperator,
     PreconditionerBreakdownError,
+    Structure,
     SymmetryClass,
     as_vector,
     norm2,
@@ -56,27 +60,6 @@ BREAKDOWN_RTOL = 1e-10
 # larger ones leave L2; 8192 (five 128 KiB operands) is the smallest
 # size on the flat part
 _CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class Structure:
-    """How one symmetry class enters the shared recurrence (see above)."""
-
-    rot: complex
-    conj: bool
-    skew: bool
-
-    def rotate(self, x):
-        """rot*x; x itself when rot is 1, so no copy and no rounding."""
-        return x if self.rot == 1 else self.rot * x
-
-
-STRUCTURES = {
-    SymmetryClass.COMPLEX_SYMMETRIC: Structure(rot=1, conj=True, skew=False),
-    SymmetryClass.SKEW_SYMMETRIC: Structure(rot=1, conj=False, skew=True),
-    SymmetryClass.SKEW_HERMITIAN: Structure(rot=1j, conj=False, skew=False),
-    SymmetryClass.HERMITIAN: Structure(rot=1, conj=False, skew=False),
-}
 
 
 class _Basis:
@@ -110,14 +93,17 @@ class _Basis:
         self._m += 1
         return self._block[self._m - 1]
 
-    def orthogonalize(self, cand: np.ndarray) -> np.ndarray:
+    def orthogonalize(self, cand: np.ndarray, real: bool) -> np.ndarray:
         """cand less its projection on the kept rows V, by two passes of
         classical Gram-Schmidt (CGS2); a pass is two matrix-vector
-        products against V, and neither copies V nor forms conj(V)."""
+        products against V, and neither copies V nor forms conj(V).
+        With `real` (a skew row) only Re(V^H cand) is removed: the skew
+        recurrence keeps the i*v_k parts, which are orthogonal to v_k
+        under its inner product Re(u^H w)."""
         v = self.rows()
         for _ in range(2):
             h = np.conj(v @ np.conj(cand))      # V^H cand
-            cand = cand - h @ v
+            cand = cand - (h.real if real else h) @ v
         return cand
 
 
@@ -185,7 +171,7 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
         alpha = complex(np.vdot(v, cand))
         cand = cand - alpha * v
     if st.basis is not None:
-        cand = st.basis.orthogonalize(cand)
+        cand = st.basis.orthogonalize(cand, structure.skew)
     beta_next = norm2(cand)
     v_next = None
     if beta_next > 0.0:
@@ -231,14 +217,15 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
     NaN or Inf or <q, z> is NaN or +Inf.
 
     This is where a preconditioner's output enters, through as_vector.
-    A `conj` row pairs through conj(z) and the transpose inner product,
-    which then comes out real for real positive definite M; every other
-    row pairs through the Hermitian inner product.  Any other <q, z>
-    that is not positive real raises PreconditionerBreakdownError.
+    <q, z> is the row's pairing; a `conj` row solves with conj(z), so
+    that <q, z> comes out real for real positive definite M, as it does
+    on every other row for Hermitian positive definite M.  Any other
+    <q, z> that is not positive real, a finite one whose modulus
+    overflows included, raises PreconditionerBreakdownError.
     """
     q = as_vector(m_solve(np.conj(z) if structure.conj else z), z.shape[0],
                   "preconditioner output")
-    prod = complex(np.dot(q, z) if structure.conj else np.vdot(q, z))
+    prod = structure.pair(q, z)
     if not (cmath.isfinite(prod) and prod.real > 0.0):
         # a finite positive q'z needs a finite nonzero z, so only here
         # can z be zero (beta = 0) or hold NaN or Inf
@@ -250,7 +237,12 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
             return q, 0.0
     # a NaN or +Inf q'z passes this test: beta comes out non-finite, which
     # the solver stops on
-    if abs(prod.imag) > BREAKDOWN_RTOL * abs(prod) or prod.real <= 0.0:
+    try:
+        tilted = abs(prod.imag) > BREAKDOWN_RTOL * abs(prod)
+    except OverflowError:
+        # finite parts whose modulus overflows; halving them is exact there
+        tilted = abs(prod.imag * 0.5) > BREAKDOWN_RTOL * abs(prod * 0.5)
+    if tilted or prod.real <= 0.0:
         raise PreconditionerBreakdownError(f"q'z = {prod!r} is not positive real; preconditioner "
                                            "must be positive definite with the right symmetry")
     return q, math.sqrt(prod.real)
@@ -309,7 +301,7 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
             p = np.multiply(structure.rot, p, out=t)             # rot * p
         if shift != 0.0:
             p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)  # p - shift * q
-        alpha = complex(np.dot(q, p) if structure.conj else np.vdot(q, p)) / beta**2
+        alpha = structure.pair(q, p) / beta**2
         p_scale = 1.0 / beta
     z_next = np.empty_like(z) if z_prev is None else z_prev
     z_scale = alpha / beta

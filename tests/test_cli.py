@@ -230,6 +230,24 @@ def test_solve_exit_input_on_failed_probe(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("field, code", [("real", EXIT_OK), ("complex", EXIT_INPUT)])
+def test_solve_skew_symmetric_file(tmp_path, capsys, field, code):
+    # a complex A = -A^T fits no class: the ss probe checks A = -A^H
+    rng = np.random.default_rng(8)
+    r = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    if field == "real":
+        r = r.real
+    path = _matrix_file(tmp_path, r - r.T, "skew-symmetric")
+    assert (tmp_path / "a.mtx").read_text().split()[3] == field
+    assert main(["solve", "--matrix", path, "--rhs-random", "--oracle"]) == code
+    text = capsys.readouterr().out
+    if field == "complex":
+        assert "reason: NotStructured" in text
+    else:
+        relerr = float(text.split("relerr_vs_svd:")[1].split()[0])
+        assert relerr <= 1e-10
+
+
 def test_solve_general_needs_variant(tmp_path):
     path = _matrix_file(tmp_path, np.eye(3), "general")
     assert main(["solve", "--matrix", path, "--rhs-random"]) == EXIT_INPUT

@@ -35,8 +35,7 @@ QLP = SolverConfig(tol=EPS, trancond=1.0)
 
 
 def class_problem(variant):
-    """A matrix of each class and a right-hand side (real for skew
-    symmetric, whose preconditioned form pairs without conjugation)."""
+    """A matrix of each class and a complex right-hand side."""
     rng = SplitMix64(2024)
     if variant is SymmetryClass.COMPLEX_SYMMETRIC:
         a = symmetric_imaginary_matrix(N, N, rng)
@@ -47,7 +46,7 @@ def class_problem(variant):
     else:
         a = 1j * symmetric_imaginary_matrix(N, N, rng)
     b = rng.uniforms(N) + 1j * rng.uniforms(N)
-    return a, b.real.copy() if variant is SymmetryClass.SKEW_SYMMETRIC else b
+    return a, b
 
 
 def diagonal():

@@ -125,6 +125,13 @@ def test_indefinite_preconditioner_reported():
     assert r.iterations == 0 and r.phi == 2.0
 
 
+def test_preconditioner_whose_q_z_modulus_overflows_reported():
+    # q'z is finite but abs() of it overflows; the test is scale-safe
+    r = solve(np.eye(4), 0.75 * np.ones(4), "cs",
+              preconditioner=Custom(lambda v: v * (0.7e308 + 0.7e308j)))
+    assert r.reason is StopReason.PreconditionerBreakdown and r.iterations == 0
+
+
 def test_singular_preconditioner_reported():
     r = solve(np.eye(4), np.ones(4), "cs",
               preconditioner=Custom(lambda v: np.zeros_like(v)))

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from symkrylov import tridiagonalize as tri
 from symkrylov.core import (
     EPS,
     LinearOperator,
     SparseMatrix,
+    StructureError,
     SymmetryClass,
     norm2,
+    probe_symmetry,
 )
 from symkrylov.oracle import (
     SplitMix64,
@@ -115,6 +119,96 @@ def test_structure_check_can_be_skipped():
     assert r.reason is not StopReason.NotStructured
 
 
+CS = SymmetryClass.COMPLEX_SYMMETRIC
+SS = SymmetryClass.SKEW_SYMMETRIC
+SH = SymmetryClass.SKEW_HERMITIAN
+H = SymmetryClass.HERMITIAN
+
+# A built from a complex R -> the classes whose probe accepts it: each
+# class's pairing (core.STRUCTURES) and nothing else decides
+ACCEPTED_BY = {
+    "R + R^T": {CS},
+    "R + R^H": {H},
+    "R - R^H": {SS, SH},
+    "real R - R^T": {SS, SH},
+    "R - R^T": set(),           # complex skew-symmetric: no class yet
+}
+
+
+def constructions(r):
+    return {"R + R^T": r + r.T, "R + R^H": r + r.conj().T, "R - R^H": r - r.conj().T,
+            "real R - R^T": r.real - r.real.T, "R - R^T": r - r.T}
+
+
+def random_problem(n, s):
+    rng = np.random.default_rng(s)
+    r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return r, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**31))
+@seed(2027)
+@settings(max_examples=30, deadline=None)
+def test_probe_accepts_each_construction_under_its_classes_only(n, s):
+    for name, a in constructions(random_problem(n, s)[0]).items():
+        for cls in SymmetryClass:
+            op = LinearOperator.from_matrix(a, cls)
+            if cls in ACCEPTED_BY[name]:
+                assert probe_symmetry(op) <= 1e-10, (name, cls)
+            else:
+                with pytest.raises(StructureError):
+                    probe_symmetry(op)
+
+
+@given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**31))
+@seed(2028)
+@settings(max_examples=60, deadline=None)
+def test_accepted_converged_solves_are_right(n, s):
+    # no converged reason with a wrong x, plain or reorthogonalized
+    r, b = random_problem(n, s)
+    for name, a in constructions(r).items():
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        for cls in SymmetryClass:
+            for reorthogonalize in (False, True):
+                rep = solve(a, b, cls, reorthogonalize=reorthogonalize)
+                assert (rep.reason is not StopReason.NotStructured) == (cls in ACCEPTED_BY[name])
+                if rep.reason in CONVERGED_REASONS:
+                    assert norm2(rep.x - x_ref) <= 1e-10 * norm2(x_ref), (name, cls)
+
+
+@pytest.mark.parametrize("shift", [0.3, 0.3 + 0.2j, -0.5 + 0.4j])
+@pytest.mark.parametrize("skew_hermitian", [False, True], ids=["real-skew", "skew-hermitian"])
+def test_shifted_skew_solves_with_complex_rhs(skew_hermitian, shift):
+    # the ss row is real Lanczos on C^n read as R^(2n); its reorthogonalized
+    # basis must stay orthogonal in that inner product, or a converged
+    # reason comes with a wrong x
+    for s in range(10):
+        r, b = random_problem(2 + s, s)
+        a = r - r.conj().T if skew_hermitian else r.real - r.real.T
+        rep = solve(a, b, "ss", SolverConfig(shift=shift), reorthogonalize=True)
+        x_ref = np.linalg.solve(a - shift * np.eye(a.shape[0]), b)
+        assert rep.reason in CONVERGED_REASONS, s
+        assert norm2(rep.x - x_ref) <= 1e-8 * norm2(x_ref), s
+
+
+def test_complex_skew_symmetric_operator_is_not_structured():
+    # a tridiagonal complex A = -A^T, which no row solves, at a size that
+    # spans several chunks of the preconditioned sweep
+    n = 20011
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-1.0, 1.0, n - 1) + 1j * rng.uniform(-1.0, 1.0, n - 1)
+
+    def apply(x):
+        y = np.zeros_like(x)
+        y[:-1] += c * x[1:]
+        y[1:] -= c * x[:-1]
+        return y
+
+    rep = solve(LinearOperator(n, SS, apply), np.ones(n), config=SolverConfig(maxit=100),
+                preconditioner=Diagonal(np.full(n, 2.0)))
+    assert rep.reason is StopReason.NotStructured and rep.iterations == 0
+
+
 def test_maxit_stop():
     p = suite_problem("cs-h", 30, 0, SEED, True)
     r = solve(p.a, p.b, p.variant, SolverConfig(maxit=1))
@@ -201,6 +295,12 @@ def test_non_finite_shift_rejected(shift):
     ("tol", None), ("maxxnorm", "1e7"), ("maxcond", True), ("trancond", 1j),
     ("shift", "1"), ("shift", None), ("shift", False),
     ("maxit", True), ("check_structure", "no"), ("check_structure", 1),
+    # ints beyond float range
+    pytest.param("tol", 10**400, id="tol-10**400"),
+    pytest.param("maxxnorm", -10**400, id="maxxnorm--10**400"),
+    pytest.param("maxcond", 10**400, id="maxcond-10**400"),
+    pytest.param("trancond", 10**400, id="trancond-10**400"),
+    pytest.param("shift", 10**400, id="shift-10**400"),
 ])
 def test_wrong_option_type_is_named(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a"):

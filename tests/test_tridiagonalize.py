@@ -184,6 +184,24 @@ def test_reorthogonalization_keeps_basis_tight():
     assert np.linalg.norm(g - np.eye(n)) <= 1e-13 * n
 
 
+@pytest.mark.parametrize("skew_hermitian", [False, True], ids=["real-skew", "skew-hermitian"])
+def test_reorthogonalized_skew_row_keeps_the_recurrence(skew_hermitian):
+    # on complex data the skew row's basis is orthonormal under Re(u^H w)
+    # only; CGS2 in that inner product keeps A V_k = V_{k+1} T
+    rng = np.random.default_rng(31)
+    n = 9
+    r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = r - r.conj().T if skew_hermitian else r.real - r.real.T
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = n - 1
+    alphas, betas, vs = run_process(a, SS, b, k, reorthogonalize=True)
+    assert len(alphas) == k and alphas == [0.0] * k
+    vk1 = np.column_stack(vs)
+    assert np.linalg.norm((vk1.conj().T @ vk1).real - np.eye(k + 1)) <= 1e-13 * k
+    resid = a @ vk1[:, :k] - vk1 @ rect_t(alphas, betas, SS)
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(a, 2)
+
+
 @pytest.mark.parametrize("variant", [CS, SS, SH, H])
 def test_reorthogonalized_basis_block(variant):
     # 100 rows from a first block of 16 take at least two regrows
@@ -372,6 +390,14 @@ def test_precond_pair_breakdowns(row):
     # times a positive real, an imaginary part as large as the real one
     with pytest.raises(PreconditionerBreakdownError):
         tri._precond_pair(z, lambda v: (1.0 + 1.0j) * v, row)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_precond_pair_breakdown_when_the_modulus_overflows(row):
+    # q'z = 2.25 * (0.7e308 + 0.7e308j) is finite, |q'z| is not
+    z = np.full(4, 0.75, dtype=np.complex128)
+    with pytest.raises(PreconditionerBreakdownError):
+        tri._precond_pair(z, lambda v: (0.7e308 + 0.7e308j) * v, row)
 
 
 @pytest.mark.parametrize("variant", [CS, SS, SH, H])
