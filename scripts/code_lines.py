@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Count the code lines of each module of the package and their total.
 
-    python3 scripts/code_lines.py [DIR]
+    python3 scripts/code_lines.py
 
-DIR defaults to src/symkrylov.  A code line is a non-blank line that is
+It counts the modules of src/symkrylov.  A code line is a non-blank line that is
 neither a comment nor part of a docstring (the string that opens a
 module, class or function body); a line that holds code and a trailing
 comment counts.  This is the measure the CHANGES.md entries and the
@@ -13,11 +13,9 @@ then the total.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import os
-import sys
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,19 +44,16 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("dir", nargs="?", default=os.path.join(ROOT, "src", "symkrylov"))
-    args = parser.parse_args(argv)
+def report(directory: str) -> None:
+    """Print the code lines of each module in directory, then the total."""
     total = 0
-    for name in sorted(f for f in os.listdir(args.dir) if f.endswith(".py")):
-        with open(os.path.join(args.dir, name), encoding="utf-8") as fh:
+    for name in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
             count = code_lines(fh.read())
         print(f"{name:24} {count:6}")
         total += count
     print(f"{'total':24} {total:6}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    report(os.path.join(ROOT, "src", "symkrylov"))

@@ -324,7 +324,8 @@ def probe_symmetry(op: LinearOperator) -> float:
         return 0.0
     row = STRUCTURES[op.symmetry]
     rng = np.random.default_rng(PROBE_SEED)
-    worst = anorm_est = 0.0
+    worst = 0.0
+    anorm_est = 0.0
     for _ in range(PROBE_PAIRS):
         # 2n reals per vector, read as n complex entries; y and z are one
         # draw, which gives the values of two draws in turn.  Uniform
@@ -345,7 +346,8 @@ def probe_symmetry(op: LinearOperator) -> float:
         anorm_est = max(anorm_est, by_norm / y_norm, bz_norm / z_norm)
         # <y, Bz> - <By, z>, or + on a skew row
         defect = abs(row.pair(y, bz) + (by_z if row.skew else -by_z))
-        worst = max(worst, defect / max(anorm_est * y_norm * z_norm, EPS))
+        scale = max(anorm_est * y_norm * z_norm, EPS)
+        worst = max(worst, defect / scale)
     if worst > 1e-10:
         raise StructureError(
             f"operator is not {op.symmetry.value} (relative defect {worst:.2e})"

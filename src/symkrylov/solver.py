@@ -128,21 +128,26 @@ class SolverConfig:
 
     def __post_init__(self):
         # each field is checked, and stored in its own type, here once
-        for name in ("tol", "maxxnorm", "maxcond", "trancond", "shift"):
+        for name in ("tol", "maxxnorm", "maxcond", "trancond"):
             value = getattr(self, name)
-            kind, convert = (numbers.Complex, complex) if name == "shift" else (numbers.Real, float)
-            number = f"a {kind.__name__.lower()} number"
-            if not _number(value, kind):
-                raise ValueError(f"{name} must be {number}, got {value!r}")
+            if not _number(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             try:
-                value = convert(value)
+                value = float(value)
             except OverflowError:       # an int beyond float range
-                raise ValueError(f"{name} must be {number} in float range") from None
-            if name == "shift" and not cmath.isfinite(value):
-                raise ValueError("shift must be finite (it holds NaN or Inf)")
-            if cmath.isnan(value):
+                raise ValueError(f"{name} must be a real number in float range") from None
+            if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
             object.__setattr__(self, name, value)
+        if not _number(self.shift, numbers.Complex):
+            raise ValueError(f"shift must be a complex number, got {self.shift!r}")
+        try:
+            shift = complex(self.shift)
+        except OverflowError:           # an int beyond float range
+            raise ValueError("shift must be a complex number in float range") from None
+        if not cmath.isfinite(shift):
+            raise ValueError("shift must be finite (it holds NaN or Inf)")
+        object.__setattr__(self, "shift", shift)
         if self.maxit is not None and not _number(self.maxit, numbers.Integral):
             raise ValueError(f"maxit must be an integer, got {self.maxit!r}")
         if self.maxit is not None and self.maxit < 1:
@@ -205,8 +210,8 @@ class _Driver:
         # a conj row keeps the shift inside the process, so T's diagonal
         # is alpha there; the others move it by rot*shift, which is
         # -shift for a skew row
-        self.process_shift, self.diagonal_shift = (
-            (shift, 0.0) if row.conj else (0.0, -shift if row.skew else row.rotate(shift)))
+        self.process_shift = shift if row.conj else 0.0
+        self.diagonal_shift = 0.0 if row.conj else -shift if row.skew else row.rotate(shift)
         self.m_solve = m_solve
         if m_solve is not None:
             self.step = tri.precond_step
@@ -239,7 +244,8 @@ class _Driver:
             st = self.st = self.step(self.op, st, self.process_shift, u)
         alpha, beta_next = st.alpha, st.beta_next
         if not (cmath.isfinite(alpha) and math.isfinite(beta_next)):
-            raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, beta = {beta_next!r}")
+            raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, "
+                                 f"beta = {beta_next!r}")
         bn = complex(beta_next)
         if self.row.skew:
             # alpha vanishes on a skew row; only the shift is on T's diagonal

@@ -185,30 +185,24 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
 # solve starts, so a wrapper installed over it (bench/layertrace.py counts
 # and times steps by these names) sees every call.
 
-_COMPLEX_SYMMETRIC = STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC]
-_SKEW_SYMMETRIC = STRUCTURES[SymmetryClass.SKEW_SYMMETRIC]
-_SKEW_HERMITIAN = STRUCTURES[SymmetryClass.SKEW_HERMITIAN]
-_HERMITIAN = STRUCTURES[SymmetryClass.HERMITIAN]
-
-
 def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                            w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, _COMPLEX_SYMMETRIC, shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], shift, w)
 
 
 def skew_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, _SKEW_SYMMETRIC, shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], shift, w)
 
 
 def skew_hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, _SKEW_HERMITIAN, shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], shift, w)
 
 
 def hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
                    w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, _HERMITIAN, shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], shift, w)
 
 
 def _precond_pair(z: np.ndarray, m_solve, structure: Structure):

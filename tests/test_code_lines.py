@@ -39,10 +39,10 @@ def test_fixture_counts_code_lines_only():
     assert load().code_lines(FIXTURE) == 7
 
 
-def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+def test_report_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text(FIXTURE)
     (tmp_path / "a.py").write_text("x = 1\n\n# comment\n")
     (tmp_path / "notes.txt").write_text("x = 1\n")
-    assert load().main([str(tmp_path)]) == 0
+    load().report(str(tmp_path))
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
         ["a.py", "1"], ["b.py", "7"], ["total", "8"]]

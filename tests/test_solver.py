@@ -164,13 +164,15 @@ def test_probe_accepts_each_construction_under_its_classes_only(n, s):
 @seed(2028)
 @settings(max_examples=60, deadline=None)
 def test_accepted_converged_solves_are_right(n, s):
-    # no converged reason with a wrong x, plain or reorthogonalized
+    # no converged reason with a wrong x: plain, reorthogonalized, or
+    # through the preconditioned process with M = I held as a Diagonal
     r, b = random_problem(n, s)
+    variants = ({}, {"reorthogonalize": True}, {"preconditioner": Diagonal(np.ones(n))})
     for name, a in constructions(r).items():
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
         for cls in SymmetryClass:
-            for reorthogonalize in (False, True):
-                rep = solve(a, b, cls, reorthogonalize=reorthogonalize)
+            for kwargs in variants:
+                rep = solve(a, b, cls, **kwargs)
                 assert (rep.reason is not StopReason.NotStructured) == (cls in ACCEPTED_BY[name])
                 if rep.reason in CONVERGED_REASONS:
                     assert norm2(rep.x - x_ref) <= 1e-10 * norm2(x_ref), (name, cls)
@@ -191,22 +193,17 @@ def test_shifted_skew_solves_with_complex_rhs(skew_hermitian, shift):
         assert norm2(rep.x - x_ref) <= 1e-8 * norm2(x_ref), s
 
 
-def test_complex_skew_symmetric_operator_is_not_structured():
-    # a tridiagonal complex A = -A^T, which no row solves, at a size that
-    # spans several chunks of the preconditioned sweep
-    n = 20011
-    rng = np.random.default_rng(n)
-    c = rng.uniform(-1.0, 1.0, n - 1) + 1j * rng.uniform(-1.0, 1.0, n - 1)
-
-    def apply(x):
-        y = np.zeros_like(x)
-        y[:-1] += c * x[1:]
-        y[1:] -= c * x[:-1]
-        return y
-
-    rep = solve(LinearOperator(n, SS, apply), np.ones(n), config=SolverConfig(maxit=100),
-                preconditioner=Diagonal(np.full(n, 2.0)))
-    assert rep.reason is StopReason.NotStructured and rep.iterations == 0
+def test_preconditioned_skew_hermitian_solves_under_ss():
+    # the preconditioned ss row on a complex A = -A^H: no alpha term, and
+    # beta from q^H z with a Hermitian positive definite M
+    for s in range(10):
+        r, b = random_problem(2 + s, s)
+        a = r - r.conj().T
+        d = np.random.default_rng(s).uniform(0.5, 2.0, a.shape[0])
+        rep = solve(a, b, "ss", preconditioner=Diagonal(d))
+        x_ref = np.linalg.solve(a, b)
+        assert rep.reason in CONVERGED_REASONS, s
+        assert norm2(rep.x - x_ref) <= 1e-10 * norm2(x_ref), s
 
 
 def test_maxit_stop():
