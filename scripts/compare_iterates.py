@@ -29,7 +29,9 @@ The set:
   * a large preconditioned block: per class, a tridiagonal operator of
     size LARGE_N, which spans several chunks of the preconditioned
     step's sweep and is no multiple of one, solved with a Diagonal
-    preconditioner, with and without SHIFT;
+    preconditioner, with and without a shift its preconditioned row can
+    carry: SHIFT on cs, its real part on hermitian, its imaginary part
+    on sh and ss;
   * a small fixed block of solves, built as in tests/, that stop for
     each of the eight reasons the sets above do not reach (stop_runs),
     with and without a monitor, plus an entry with a NaN tol, which
@@ -192,30 +194,42 @@ def stop_runs():
             yield f"stop {name}{' monitor' if monitored else ''}", run
 
 
-def large_precond_runs():
-    """(problem id, solve thunk) for the large preconditioned block."""
+def large_problems():
+    """The large block's b, M's diagonal and, per class, the operator's
+    apply(x) and the shift its preconditioned row can carry (A - shift*I
+    stays of the class)."""
     n = LARGE_N
     rng = np.random.default_rng(LARGE_N)
     real = lambda size: rng.uniform(-1.0, 1.0, size)
     c = real(n - 1) + 1j * real(n - 1)
     d = 3.0 + real(n)
-    # symmetry class -> (diagonal, superdiagonal, subdiagonal) of A
+    # symmetry class -> (diagonal, superdiagonal, subdiagonal) of A, shift
     entries = {
-        "hermitian": (d, c, np.conj(c)),
-        "cs": (d + 1j * real(n), c, c),
+        "hermitian": (d, c, np.conj(c), SHIFT.real),
+        "cs": (d + 1j * real(n), c, c, SHIFT),
         # the ss row solves A = -A^H; a complex A = -A^T fits no class
-        "ss": (np.zeros(n), c.real, -c.real),
-        "sh": (1j * d, c, -np.conj(c)),
+        "ss": (np.zeros(n), c.real, -c.real, 1j * SHIFT.imag),
+        "sh": (1j * d, c, -np.conj(c), 1j * SHIFT.imag),
     }
     m_diagonal = 1.0 + rng.uniform(size=n)
     b = real(n) + 1j * real(n)
-    for cls, (diag, sup, sub) in entries.items():
+    problems = {}
+    for cls, (diag, sup, sub, shift) in entries.items():
         def apply(x, diag=diag, sup=sup, sub=sub):
             y = diag * x
             y[:-1] += sup * x[1:]
             y[1:] += sub * x[:-1]
             return y
-        for shift in (0.0, SHIFT):
+        problems[cls] = (apply, shift)
+    return b, m_diagonal, problems
+
+
+def large_precond_runs():
+    """(problem id, solve thunk) for the large preconditioned block."""
+    n = LARGE_N
+    b, m_diagonal, problems = large_problems()
+    for cls, (apply, class_shift) in problems.items():
+        for shift in (0.0, class_shift):
             def run(sk, cls=cls, apply=apply, shift=shift):
                 op = sk.LinearOperator(n, sk.SymmetryClass(cls), apply)
                 config = sk.SolverConfig(tol=1e-10, maxit=LARGE_MAXIT, shift=shift)

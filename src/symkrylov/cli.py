@@ -231,13 +231,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         b = mat.matvec(z) if args.rhs_compatible else z
 
     shift = _parse_shift(args.shift) if args.shift else 0.0
+    precond = jacobi_from_matrix(mat) if args.precond == "jacobi" else None
     try:
         cfg = SolverConfig(shift=shift, **{name: getattr(args, name)
                                            for name, _ in _CONFIG_OPTIONS})
+        # a shift the preconditioned process cannot carry is refused here
+        report = solve(mat, b, variant, cfg, preconditioner=precond)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    precond = jacobi_from_matrix(mat) if args.precond == "jacobi" else None
-    report = solve(mat, b, variant, cfg, preconditioner=precond)
 
     print(f"reason: {report.reason.value}")
     print(f"iterations: {report.iterations}")

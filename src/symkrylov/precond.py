@@ -33,7 +33,7 @@ class Identity:
 
 @dataclass(frozen=True, eq=False)
 class Diagonal:
-    """M = diag(d) with d real positive.
+    """M = diag(d) with d real positive; any other d raises ValueError.
 
     Keeps 1/d beside d, one more real n-vector, and applies M^{-1} as
     z * (1/d): for complex z that is z / d bit for bit, an exact zero's
@@ -45,11 +45,13 @@ class Diagonal:
     _dinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64).reshape(-1)
-        if d.size == 0 or np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise ValueError("diagonal preconditioner needs finite positive entries")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_dinv", 1.0 / d)
+        # a complex entry is refused, not cut to its real part
+        d = np.asarray(self.d).reshape(-1)
+        if (d.size == 0 or np.any(d.imag != 0.0) or np.any(d.real <= 0.0)
+                or not np.all(np.isfinite(d))):
+            raise ValueError("diagonal preconditioner needs finite real positive entries")
+        object.__setattr__(self, "d", np.asarray(d.real, dtype=np.float64))
+        object.__setattr__(self, "_dinv", 1.0 / self.d)
 
     def solve(self, z: np.ndarray) -> np.ndarray:
         return z * self._dinv

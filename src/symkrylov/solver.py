@@ -199,28 +199,43 @@ class _Driver:
     """Feeds the engine per-iteration tridiagonal data and basis vectors.
 
     Hides which process runs underneath: the class's row of
-    `tri.STRUCTURES`, preconditioning, and where the shift lands.  It
-    takes b over (a preconditioned process reuses its storage).
+    `tri.STRUCTURES`, preconditioning, and where the shift lands.
+
+    Where the shift lands.  On the plain process of a row without conj,
+    V does not depend on the shift: the process runs on A and the shift
+    moves only T's diagonal, by rot*shift, or by -shift on a skew row.
+    Everywhere else a diagonal shift of T would be wrong: v^T conj(v) is
+    not 1 on a conj row, and with M != I it solves (A - shift*M) x = b.
+    There the process runs on A - shift*I, which must then still be of
+    A's class: any shift on cs, a real one on hermitian and an imaginary
+    one on sh and ss.  Any other shift raises ValueError here, before
+    the operator is applied.
     """
 
-    def __init__(self, op: LinearOperator, b: np.ndarray, shift: complex,
-                 m_solve: Optional[Callable], reorthogonalize: bool):
-        self.op = op
+    def __init__(self, op: LinearOperator, shift: complex, m_solve: Optional[Callable]):
         self.row = row = tri.STRUCTURES[op.symmetry]
-        # a conj row keeps the shift inside the process, so T's diagonal
-        # is alpha there; the others move it by rot*shift, which is
-        # -shift for a skew row
-        self.process_shift = shift if row.conj else 0.0
-        self.diagonal_shift = 0.0 if row.conj else -shift if row.skew else row.rotate(shift)
-        self.m_solve = m_solve
-        if m_solve is not None:
-            self.step = tri.precond_step
-            self.st = tri.precond_init(b, m_solve, row)
-        else:
-            # looked up now, not bound at import: a wrapper installed over
-            # the module attribute then sees every step
-            self.step = getattr(tri, f"{op.symmetry.name.lower()}_step")
-            self.st = tri.process_init(b, row, reorthogonalize)
+        self.op, self.m_solve = op, m_solve
+        on_diagonal = shift
+        if shift != 0.0 and (row.conj or m_solve is not None):
+            # shift*I is of the class: rot*shift real, or imaginary on a skew row
+            if not (row.conj or (shift.real if row.skew else row.rotate(shift).imag) == 0.0):
+                raise ValueError(f"a preconditioned {op.symmetry.value} solve cannot take "
+                                 f"shift {shift!r}: A - shift*I leaves the class")
+            # a closure, not a LinearOperator: a traced apply stays one call
+            self.op = lambda x: op(x) - shift * x
+            on_diagonal = 0j
+        # a zero shift still puts -0j on a skew row's diagonal
+        self.diagonal_shift = -on_diagonal if row.skew else row.rotate(on_diagonal)
+        # looked up now, not bound at import: a wrapper installed over the
+        # module attribute then sees every step
+        self.step = (tri.precond_step if m_solve is not None
+                     else getattr(tri, f"{op.symmetry.name.lower()}_step"))
+
+    def start(self, b: np.ndarray, reorthogonalize: bool):
+        """Start the process from b, which it takes over (a
+        preconditioned process reuses its storage)."""
+        self.st = (tri.precond_init(b, self.m_solve, self.row) if self.m_solve is not None
+                   else tri.process_init(b, self.row, reorthogonalize))
         self.beta1 = self.st.beta_next
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
@@ -237,11 +252,10 @@ class _Driver:
         st = self.st
         if self.m_solve is not None:
             u = np.multiply(st.q_curr, 1.0 / st.beta_next, out=out)   # q / beta
-            st = self.st = self.step(self.op, st, self.m_solve, self.row, self.process_shift,
-                                     work)
+            st = self.st = self.step(self.op, st, self.m_solve, self.row, work)
         else:
             u = np.conj(st.v_curr, out=out) if self.row.conj else st.v_curr
-            st = self.st = self.step(self.op, st, self.process_shift, u)
+            st = self.st = self.step(self.op, st, u)
         alpha, beta_next = st.alpha, st.beta_next
         if not (cmath.isfinite(alpha) and math.isfinite(beta_next)):
             raise NonFiniteError(f"step {st.k}: alpha = {alpha!r}, "
@@ -655,6 +669,10 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     A may be a LinearOperator, a SparseMatrix, or a dense array (then
     `variant` names the symmetry class).  `preconditioner` is an object
     with a .solve(z) method applying M^{-1} for positive definite M.
+    With a preconditioner other than Identity the shift must keep
+    A - shift*I in A's class (any shift on cs, a real one on hermitian,
+    an imaginary one on sh and ss); any other raises ValueError before
+    the operator is applied (see _Driver).
     """
     cfg = config or SolverConfig()
     op = _as_operator(A, variant)
@@ -675,6 +693,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
                          "preconditioner, or Identity")
     else:
         m_solve = preconditioner.solve
+    driver = _Driver(op, cfg.shift, m_solve)
     if cfg.check_structure:
         try:
             probe_symmetry(op)
@@ -693,7 +712,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         cfg = replace(cfg, maxxnorm=_ldexp(cfg.maxxnorm, -e))
     vectors = _Vectors(n)
     try:
-        driver = _Driver(op, b, cfg.shift, m_solve, reorthogonalize)
+        driver.start(b, reorthogonalize)
     except PreconditionerBreakdownError:
         return _stopped(n, StopReason.PreconditionerBreakdown, phi=_ldexp(norm2(b), e))
     except NonFiniteError:

@@ -16,12 +16,8 @@ pairing) says how a class enters it:
   diagonal.  The basis is orthonormal under Re(u^H w), the inner
   product of C^n read as R^(2n), so T is real.
 
-Where the shift lands also follows from the row.  A `conj` row keeps it
-inside the recurrence: a diagonal shift of T would be wrong there
-because v^T conj(v) is not 1.  Every other row leaves V unchanged under
-a shift and moves only T's diagonal, by rot*shift; a `skew` row's
-diagonal is then -shift.  The solver places it; the process steps here
-subtract only a shift they are handed.
+No step takes a shift: the solver either moves T's diagonal or hands
+the steps the operator A - shift*I (see solver._Driver).
 
 A reorthogonalized plain process keeps v_1..v_k as the rows of one
 contiguous block (`_Basis`) and takes each new direction through two
@@ -40,7 +36,6 @@ import numpy as np
 
 from .core import (
     STRUCTURES,
-    LinearOperator,
     PreconditionerBreakdownError,
     Structure,
     SymmetryClass,
@@ -148,22 +143,18 @@ def process_init(b: np.ndarray, structure: Structure,
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
-def _step(op: LinearOperator, st: TridiagState, structure: Structure,
-          shift: complex, w: Optional[np.ndarray]) -> TridiagState:
+def _step(op: Callable, st: TridiagState, structure: Structure,
+          w: Optional[np.ndarray]) -> TridiagState:
     """One plain step of the shared recurrence.
 
     The operator is applied to w = conj(v_k) for a `conj` row and to
-    v_k otherwise (pass w when the caller has already formed it).  A
-    nonzero shift is subtracted inside the recurrence; the solver hands
-    one only to a `conj` row, since the others carry it on T.
+    v_k otherwise (pass w when the caller has already formed it).
     """
     v = st.v_curr
     assert v is not None, "recurrence already terminated"
     if w is None:
         w = np.conj(v) if structure.conj else v
     cand = structure.rotate(op(w))
-    if shift != 0.0:
-        cand = cand - shift * w
     if st.v_prev is not None:
         cand = cand - st.beta_next * st.v_prev
     alpha = 0.0
@@ -185,24 +176,24 @@ def _step(op: LinearOperator, st: TridiagState, structure: Structure,
 # solve starts, so a wrapper installed over it (bench/layertrace.py counts
 # and times steps by these names) sees every call.
 
-def complex_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+def complex_symmetric_step(op: Callable, st: TridiagState,
                            w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], w)
 
 
-def skew_symmetric_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+def skew_symmetric_step(op: Callable, st: TridiagState,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], w)
 
 
-def skew_hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+def skew_hermitian_step(op: Callable, st: TridiagState,
                         w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], w)
 
 
-def hermitian_step(op: LinearOperator, st: TridiagState, shift: complex = 0.0,
+def hermitian_step(op: Callable, st: TridiagState,
                    w: Optional[np.ndarray] = None) -> TridiagState:
-    return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], shift, w)
+    return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], w)
 
 
 def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
@@ -254,15 +245,14 @@ def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
     return TridiagState(k=0, beta_next=beta1, z_curr=z1, q_curr=q1)
 
 
-def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
-                 structure: Structure, shift: complex = 0.0,
+def precond_step(op: Callable, st: TridiagState, m_solve: Callable, structure: Structure,
                  work: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> TridiagState:
     """One preconditioned step: the shared recurrence in z/q form.
 
     z_{k+1} = p/beta - (alpha/beta) z_k - (beta/beta_k) z_{k-1}, with
-    p = rot*op(q_k) - shift*q_k, is written into the storage of z_{k-1},
-    which retires here; the first step writes it into a new array.  A
-    skew row has no alpha term and forms -p/beta + (beta/beta_k) z_{k-1}.
+    p = rot*op(q_k), is written into the storage of z_{k-1}, which
+    retires here; the first step writes it into a new array.  A skew
+    row has no alpha term and forms -p/beta + (beta/beta_k) z_{k-1}.
     After the whole-vector inner product that gives alpha, one sweep
     forms z_{k+1} _CHUNK entries at a time, each chunk by p/beta,
     (alpha/beta) z_k, their difference, (beta/beta_k) z_{k-1} and the
@@ -272,12 +262,10 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
     last.
 
     `work` is a pair of scratch vectors whose contents are not kept
-    (allocated when absent): the first holds rot*p or p - shift*q where
-    alpha needs it whole, and the heads of both hold a chunk's two
-    temporaries.  Arrays the operator or the preconditioner return are
-    only read: either may hand back its argument or a cached array.  A
-    nonzero shift is subtracted inside the recurrence, as in the plain
-    step.
+    (allocated when absent): the first holds rot*p where alpha needs it
+    whole, and the heads of both hold a chunk's two temporaries.  Arrays
+    the operator or the preconditioner return are only read: either may
+    hand back its argument or a cached array.
     """
     z, q, beta = st.z_curr, st.q_curr, st.beta_next
     assert z is not None and q is not None and beta > 0.0
@@ -293,8 +281,6 @@ def precond_step(op: LinearOperator, st: TridiagState, m_solve: Callable,
     else:
         if structure.rot != 1:
             p = np.multiply(structure.rot, p, out=t)             # rot * p
-        if shift != 0.0:
-            p = np.subtract(p, np.multiply(shift, q, out=t2), out=t)  # p - shift * q
         alpha = structure.pair(q, p) / beta**2
         p_scale = 1.0 / beta
     z_next = np.empty_like(z) if z_prev is None else z_prev

@@ -338,6 +338,40 @@ def test_solve_jacobi_flag(tmp_path):
     assert code == EXIT_OK
 
 
+def _relerr(out):
+    return float(next(ln.split()[1] for ln in out.splitlines() if ln.startswith("relerr_vs_svd:")))
+
+
+@pytest.mark.parametrize("variant, kind, carried, refused", [
+    ("hermitian", "hermitian", "0.3", "0,0.3"), ("sh", "general", "0,0.3", "0.3")])
+def test_solve_jacobi_shift_is_carried_or_refused(tmp_path, capsys, variant, kind, carried,
+                                                  refused):
+    # the Jacobi M is no identity here, so the process runs on A - shift*I:
+    # a shift that keeps it in the class solves the shifted system, any
+    # other exits 4 with the solver's message
+    rng = np.random.default_rng(23)
+    r = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    if variant == "hermitian":
+        a = r + r.conj().T + 6 * np.eye(8)
+    else:
+        a = r - r.conj().T + 6j * np.eye(8)
+    args = ["solve", "--matrix", _matrix_file(tmp_path, a, kind), "--variant", variant,
+            "--rhs-random", "--precond", "jacobi", "--oracle"]
+    assert main(args + ["--shift", carried]) == EXIT_OK
+    assert _relerr(capsys.readouterr().out) <= 1e-10
+    assert main(args + ["--shift", refused]) == EXIT_INPUT
+    assert f"preconditioned {variant} solve cannot take shift" in capsys.readouterr().err
+
+
+def test_solve_jacobi_shift_on_a_zero_diagonal_runs_plain(tmp_path, capsys):
+    # a real skew matrix has a zero diagonal, so Jacobi gives the identity,
+    # the plain process runs, and T's diagonal carries a real shift
+    path = _matrix_file(tmp_path, skew_symmetric_matrix(8, SplitMix64(36)), "skew-symmetric")
+    assert main(["solve", "--matrix", path, "--rhs-random", "--precond", "jacobi",
+                 "--shift", "0.3", "--oracle"]) == EXIT_OK
+    assert _relerr(capsys.readouterr().out) <= 1e-10
+
+
 def _rows_without_wall_time(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -77,11 +77,20 @@ def test_large_block_spans_chunks_in_every_class(compare_iterates):
     assert n > 2 * tri._CHUNK and n % tri._CHUNK != 0
     runs = list(compare_iterates.large_precond_runs())
     assert len(runs) == 4 * 2 and len({pid for pid, _ in runs}) == len(runs)
+    b, m_diagonal, problems = compare_iterates.large_problems()
     for pid, run in runs:
         out = dict(run(symkrylov))
         # each operator is of its declared class, so every solve takes steps
         assert out["reason"] != ("enum", "NotStructured") and out["iterations"][1] > 0, pid
         assert out["x"][:3] == ("array", "<c16", (n,))
+        # every shift is one the class's preconditioned row carries, so phi
+        # is the M^-1 norm of the true residual of the shifted system
+        apply, shift = problems[pid.split()[1]]
+        shift = shift if pid.endswith("shift") else 0.0
+        x = np.frombuffer(out["x"][3], dtype=np.complex128)
+        r = b - (apply(x) - shift * x)
+        true_phi = math.sqrt(np.vdot(r, r / m_diagonal).real)
+        assert abs(true_phi - np.frombuffer(out["phi"][1])[0]) <= 1e-12 * np.linalg.norm(b), pid
 
 
 def cut_down(module, monkeypatch):

@@ -3,22 +3,30 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from symkrylov.core import EPS, LinearOperator, SymmetryClass, norm2
 from symkrylov.oracle import SplitMix64, skew_symmetric_matrix, suite_problem
 from symkrylov.precond import Custom, Diagonal, Identity, jacobi_from_matrix
-from symkrylov.solver import SolverConfig, StopReason, solve
+from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
 
 SEED = 42424242
 
 
 def test_identity_matches_plain_run_bitwise():
-    for idx, compatible in ((0, True), (1, True), (0, False)):
-        p = suite_problem("cs-h", 20, idx, SEED, compatible)
+    # Identity is the plain process, whose hermitian row carries any
+    # shift on T's diagonal, a complex one included
+    cases = [suite_problem("cs-h", 20, idx, SEED, compatible)
+             for idx, compatible in ((0, True), (1, True), (0, False))]
+    sh = suite_problem("sh", 20, 0, SEED, True)
+    cases = [(p.a, p.b, p.variant, 0.0) for p in cases]
+    cases.append((1j * sh.a, sh.b, "hermitian", 0.2 + 0.1j))
+    for a, b, variant, shift in cases:
         m1, m2 = [], []
-        r1 = solve(p.a, p.b, p.variant, SolverConfig(tol=1e-12),
+        r1 = solve(a, b, variant, SolverConfig(tol=1e-12, shift=shift),
                    monitor=m1.append)
-        r2 = solve(p.a, p.b, p.variant, SolverConfig(tol=1e-12),
+        r2 = solve(a, b, variant, SolverConfig(tol=1e-12, shift=shift),
                    preconditioner=Identity(), monitor=m2.append)
         assert r1.iterations == r2.iterations
         assert r1.reason is r2.reason
@@ -37,6 +45,9 @@ def test_diagonal_validation():
         Diagonal(np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         Diagonal(np.array([1.0, np.nan]))
+    # M must be real: a complex entry is refused, not cut to its real part
+    with pytest.raises(ValueError):
+        Diagonal(np.array([1 + 1j, 2, 3, 4]))
 
 
 def test_diagonal_solve_applies_inverse():
@@ -158,17 +169,81 @@ def test_reorthogonalize_with_preconditioner_rejected(m):
         solve(np.eye(4), np.ones(4), "cs", preconditioner=m, reorthogonalize=True)
 
 
+SHIFTS = {"real": 0.2, "imaginary": 0.1j, "complex": 0.2 + 0.1j}
+# the shifts that keep A - shift*I in each class, which a preconditioned
+# process can therefore run on
+CARRIED = {"cs": {"real", "imaginary", "complex"}, "hermitian": {"real"},
+           "sh": {"imaginary"}, "ss": {"imaginary"}}
+
+
+def _class_matrix(variant, r):
+    """A matrix of the class from a complex square r."""
+    return {"cs": r + r.T, "hermitian": r + r.conj().T,
+            "sh": r - r.conj().T, "ss": r - r.conj().T}[variant]
+
+
+def _counted(a, variant):
+    """A LinearOperator applying a, and the list its applies append to."""
+    applies = []
+
+    def apply(x):
+        applies.append(1)
+        return a @ x
+    return LinearOperator(a.shape[0], SymmetryClass(variant), apply), applies
+
+
 def test_preconditioned_shift_equals_shifted_matrix():
-    # a complex symmetric run keeps the shift inside the preconditioned step
-    p = suite_problem("cs-h", 20, 0, SEED, True)
+    # in every class a carried shift runs the process on A - shift*I, the
+    # same run bit for bit as on that operator; any other is refused
+    # before an apply
     d = 0.5 + SplitMix64(79).uniforms(20)
-    sigma = 0.2 + 0.1j
-    r1 = solve(p.a, p.b, p.variant, SolverConfig(tol=1e-12, shift=sigma),
-               preconditioner=Diagonal(d))
-    r2 = solve(p.a - sigma * np.eye(20), p.b, p.variant, SolverConfig(tol=1e-12),
-               preconditioner=Diagonal(d))
-    assert r1.reason is r2.reason is StopReason.Converged_Rnorm
-    assert norm2(r1.x - r2.x) <= 1e-9 * norm2(r2.x)
+    for variant, family in (("cs", "cs-h"), ("hermitian", "sh"), ("sh", "sh"), ("ss", "ss")):
+        p = suite_problem(family, 20, 0, SEED, True)
+        a = 1j * p.a if variant == "hermitian" else p.a
+        op, applies = _counted(a, variant)
+        for kind, sigma in SHIFTS.items():
+            config = SolverConfig(tol=1e-12, shift=sigma)
+            if kind not in CARRIED[variant]:
+                applies.clear()
+                with pytest.raises(ValueError, match=f"{variant} solve cannot take shift"):
+                    solve(op, p.b, config=config, preconditioner=Diagonal(d))
+                assert not applies, (variant, kind)
+                continue
+            r1 = solve(op, p.b, config=config, preconditioner=Diagonal(d))
+            shifted = LinearOperator(20, SymmetryClass(variant), lambda x: a @ x - sigma * x)
+            r2 = solve(shifted, p.b, config=SolverConfig(tol=1e-12), preconditioner=Diagonal(d))
+            r3 = solve(a - sigma * np.eye(20), p.b, variant, SolverConfig(tol=1e-12),
+                       preconditioner=Diagonal(d))
+            assert r1.reason is r3.reason is StopReason.Converged_Rnorm, (variant, kind)
+            assert _report_bits(r1) == _report_bits(r2), (variant, kind)
+            assert norm2(r1.x - r3.x) <= 1e-9 * norm2(r3.x), (variant, kind)
+
+
+@given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**31))
+@seed(2031)
+@settings(max_examples=40, deadline=None)
+def test_preconditioned_shifted_solves_are_right_or_refused(n, s):
+    # no converged reason with a wrong x: a carried shift solves
+    # (A - shift*I) x = b, any other raises before the operator is applied
+    rng = np.random.default_rng(s)
+    r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = Diagonal(1.0 + rng.uniform(size=n))
+    for variant in CARRIED:
+        a = _class_matrix(variant, r)
+        op, applies = _counted(a, variant)
+        for kind, sigma in SHIFTS.items():
+            config = SolverConfig(tol=1e-13, shift=sigma)
+            if kind not in CARRIED[variant]:
+                applies.clear()
+                with pytest.raises(ValueError, match="shift"):
+                    solve(op, b, config=config, preconditioner=m)
+                assert not applies, (variant, kind)
+                continue
+            rep = solve(op, b, config=config, preconditioner=m)
+            x_ref = np.linalg.solve(a - sigma * np.eye(n), b)
+            assert rep.reason in CONVERGED_REASONS, (variant, kind, rep.reason)
+            assert norm2(rep.x - x_ref) <= 1e-10 * norm2(x_ref), (variant, kind)
 
 
 def test_diagonal_preconditioned_residual_quality():

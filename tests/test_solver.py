@@ -368,6 +368,12 @@ def test_config_shift_equals_shifted_matrix():
     r1 = solve(a, b, "cs", SolverConfig(tol=1e-12, shift=sigma))
     r2 = solve(a - sigma * np.eye(14), b, "cs", SolverConfig(tol=1e-12))
     assert norm2(r1.x - r2.x) <= 1e-9 * norm2(r2.x)
+    # a cs row runs its process on A - shift*I: the same run, bit for bit,
+    # as on that operator unshifted
+    op = LinearOperator.from_matrix(a, SymmetryClass.COMPLEX_SYMMETRIC)
+    shifted = LinearOperator(14, SymmetryClass.COMPLEX_SYMMETRIC, lambda x: op(x) - sigma * x)
+    r3 = solve(shifted, b, config=SolverConfig(tol=1e-12))
+    assert r1.iterations == r3.iterations and r1.x.tobytes() == r3.x.tobytes()
 
 
 @pytest.mark.parametrize("preconditioned", [False, True])
