@@ -46,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -105,7 +105,8 @@ class SolverConfig:
 
     maxit defaults to 4n.  trancond <= 1 forces the QLP phase from the
     first iteration; trancond > 1/eps keeps plain MINRES throughout.
-    The condition limit is applied as acond >= max(maxcond, 1/eps).
+    A solve stops with CondExceeded once acond >= maxcond; the default
+    1/eps is the numerical-rank limit.
     maxxnorm bounds ||x|| in the units of the b passed to solve.
 
     tol, maxxnorm, maxcond and trancond must be real numbers and are
@@ -113,15 +114,16 @@ class SolverConfig:
     integer and check_structure a bool; a bool is no number here.  A
     wrong type raises ValueError naming the field.  So does a number
     beyond float range (an int such as 10**400), a NaN tol, maxxnorm,
-    maxcond or trancond, since every test against it would fail, a
-    maxit below 1, and a shift with a NaN or infinite part, which would
-    turn every iterate into NaN.
+    maxcond or trancond, since every test against it would fail, an
+    infinite tol, which every iterate would pass, a maxit below 1, and a
+    shift with a NaN or infinite part, which would turn every iterate
+    into NaN.
     """
 
     tol: float = EPS
     maxit: Optional[int] = None
     maxxnorm: float = 1e7
-    maxcond: float = 1e15
+    maxcond: float = 1.0 / EPS
     trancond: float = 1e7
     shift: complex = 0.0
     check_structure: bool = True
@@ -138,6 +140,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a real number in float range") from None
             if math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
+            if name == "tol" and math.isinf(value):
+                raise ValueError("tol must be finite")
             object.__setattr__(self, name, value)
         if not _number(self.shift, numbers.Complex):
             raise ValueError(f"shift must be a complex number, got {self.shift!r}")
@@ -199,60 +203,70 @@ class _Driver:
     """Feeds the engine per-iteration tridiagonal data and basis vectors.
 
     Hides which process runs underneath: the class's row of
-    `tri.STRUCTURES`, preconditioning, and where the shift lands.
+    `tri.STRUCTURES`, preconditioning, and where the shift lands.  It is
+    the one place that forms the problem the process runs on: __init__
+    builds the operator rot*A and the shift sigma = rot*shift, and start
+    hands the process rot*b, so no step reads rot.  A skew Hermitian
+    system is thus solved as the Hermitian one (i*A) x = i*b, shifted by
+    i*shift; each product by i is exact, so the run is that of a
+    Hermitian solve on those inputs, bit for bit.
 
     Where the shift lands.  On the plain process of a row without conj,
-    V does not depend on the shift: the process runs on A and the shift
-    moves only T's diagonal, by rot*shift, or by -shift on a skew row.
+    V does not depend on the shift: the process runs on rot*A and the
+    shift moves only T's diagonal, by sigma, or by -sigma on a skew row.
     Everywhere else a diagonal shift of T would be wrong: v^T conj(v) is
     not 1 on a conj row, and with M != I it solves (A - shift*M) x = b.
-    There the process runs on A - shift*I, which must then still be of
-    A's class: any shift on cs, a real one on hermitian and an imaginary
-    one on sh and ss.  Any other shift raises ValueError here, before
-    the operator is applied.
+    There the process runs on rot*A - sigma*I, which must then keep the
+    row's symmetry: any sigma on a conj row, else a real one, or an
+    imaginary one on a skew row.  So cs takes any shift, hermitian a
+    real one, and sh (sigma = i*shift) and ss an imaginary one; any
+    other raises ValueError here, before the operator is applied.
     """
 
     def __init__(self, op: LinearOperator, shift: complex, m_solve: Optional[Callable]):
         self.row = row = tri.STRUCTURES[op.symmetry]
-        self.op, self.m_solve = op, m_solve
-        on_diagonal = shift
-        if shift != 0.0 and (row.conj or m_solve is not None):
-            # shift*I is of the class: rot*shift real, or imaginary on a skew row
-            if not (row.conj or (shift.real if row.skew else row.rotate(shift).imag) == 0.0):
+        self.m_solve = m_solve
+        # closures, not LinearOperators: a traced apply stays one call
+        self.op = rotated = op if row.rot == 1 else (lambda x: row.rot * op(x))
+        # never reassigned: the closure below reads it when it is called
+        sigma = row.rotate(shift)
+        on_diagonal = sigma
+        if sigma != 0.0 and (row.conj or m_solve is not None):
+            # sigma*I is of the class: sigma real, or imaginary on a skew row
+            if not (row.conj or (sigma.real if row.skew else sigma.imag) == 0.0):
                 raise ValueError(f"a preconditioned {op.symmetry.value} solve cannot take "
                                  f"shift {shift!r}: A - shift*I leaves the class")
-            # a closure, not a LinearOperator: a traced apply stays one call
-            self.op = lambda x: op(x) - shift * x
+            self.op = lambda x: rotated(x) - sigma * x
             on_diagonal = 0j
         # a zero shift still puts -0j on a skew row's diagonal
-        self.diagonal_shift = -on_diagonal if row.skew else row.rotate(on_diagonal)
+        self.diagonal_shift = -on_diagonal if row.skew else on_diagonal
         # looked up now, not bound at import: a wrapper installed over the
         # module attribute then sees every step
         self.step = (tri.precond_step if m_solve is not None
                      else getattr(tri, f"{op.symmetry.name.lower()}_step"))
 
     def start(self, b: np.ndarray, reorthogonalize: bool):
-        """Start the process from b, which it takes over (a
-        preconditioned process reuses its storage)."""
+        """Start the process from rot*b; a b that is rot*b itself (rot =
+        1) is taken over (a preconditioned process reuses its storage)."""
+        b = self.row.rotate(b)
         self.st = (tri.precond_init(b, self.m_solve, self.row) if self.m_solve is not None
                    else tri.process_init(b, self.row, reorthogonalize))
         self.beta1 = self.st.beta_next
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
 
-    def advance(self, out: np.ndarray, work: Tuple[np.ndarray, np.ndarray]):
+    def advance(self, out: np.ndarray):
         """One process step; returns (u, alpha, sub, sup, beta_k,
         beta_next): the solution-basis vector of this iteration, the
         tridiagonal entries for the engine and the two betas for its
         norm estimate.  u is written into out, except that a plain
-        process without conj hands out its basis vector v_k itself;
-        work is scratch for the preconditioned step.
+        process without conj hands out its basis vector v_k itself.
         Raises NonFiniteError when the step yields a non-finite alpha
         or beta, before the engine sees either."""
         st = self.st
         if self.m_solve is not None:
             u = np.multiply(st.q_curr, 1.0 / st.beta_next, out=out)   # q / beta
-            st = self.st = self.step(self.op, st, self.m_solve, self.row, work)
+            st = self.st = self.step(self.op, st, self.m_solve, self.row)
         else:
             u = np.conj(st.v_curr, out=out) if self.row.conj else st.v_curr
             st = self.st = self.step(self.op, st, u)
@@ -491,7 +505,7 @@ class _Engine:
             # rank-revealed diagonal collapsed (the d-recurrence
             # would be undefined too); phi was already reverted
             return StopReason.GammaZero
-        if self.acond >= max(self.cfg.maxcond, 1.0 / EPS):
+        if self.acond >= self.cfg.maxcond:
             return StopReason.CondExceeded
         if self.xnorm_stop:
             return StopReason.XnormExceeded
@@ -517,9 +531,8 @@ class _Vectors:
     """The vector side.  Every vector it keeps is a row of one block of
     6 + m zero-filled rows, m = _WINDOW: rows 0-2 (slot A) and rows
     m+3..m+5 (slot B) are two slots that take turns as the base, and
-    rows 3..m+2 are the window.  The slot that is not the base is idle:
-    lend() hands two of its rows out as scratch, together with the row
-    the next u goes to.
+    rows 3..m+2 are the window.  The slot that is not the base is idle.
+    lend() hands out the row the next u goes to, and nothing else.
 
     MINRES phase: x, d_{k-1} and d_{k-2} are the rows of slot A and
     advance in place, in the operation order of the expression in each
@@ -549,11 +562,10 @@ class _Vectors:
         self.km1, self.km2 = 1, 2
         self.coef = None
 
-    def lend(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """(the row for the next u, two rows of the idle slot as scratch)."""
-        idle = _WINDOW + 3 if self.lo == 0 else 0
+    def lend(self) -> np.ndarray:
+        """The row for the next u."""
         self.r = self.hi if self.lo == 0 else self.lo - 1
-        return self.rows[self.r], (self.rows[idle], self.rows[idle + 1])
+        return self.rows[self.r]
 
     def update(self, u: np.ndarray, e: _Engine) -> None:
         """Apply iteration e.k, whose solution-basis vector is u."""
@@ -727,7 +739,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     reason = None
     try:
         for _ in range(maxit):
-            u, alpha, sub, sup, beta_k, beta_next = advance(*lend())
+            u, alpha, sub, sup, beta_k, beta_next = advance(lend())
             step(alpha, sub, sup, beta_k, beta_next)
             update(u, engine)
             if monitor is not None:
@@ -741,7 +753,7 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
         if not engine.lanczos_done:
             # one look-ahead process step turns the lagged estimate into
             # the one matching the returned iterate
-            _, alpha, _, sup, _, _ = driver.advance(*vectors.lend())
+            _, alpha, _, sup, _, _ = driver.advance(vectors.lend())
             psi = engine.lookahead(alpha, sup)[0]
     except NonFiniteError:
         reason, psi = StopReason.NonFinite, engine.psi

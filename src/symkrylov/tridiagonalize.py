@@ -2,12 +2,12 @@
 
 Each process builds, one step at a time, a unitary basis V and scalars
 (alpha_k, beta_k) so that the operator acts tridiagonally on the basis.
-All four symmetry classes run the same three-term recurrence; the row
-`STRUCTURES[cls]` (core.Structure, which also states each class's
-pairing) says how a class enters it:
+All four symmetry classes run the same three-term recurrence on the
+operator and start vector they are handed; the solver hands them rot*A
+and rot*b (see solver._Driver), so a skew Hermitian A arrives as the
+Hermitian i*A.  Two flags of the row `STRUCTURES[cls]` (core.Structure,
+which also states each class's pairing) say how a class enters it:
 
-* `rot`: the recurrence runs on rot*A from the start vector rot*b
-  (i for skew Hermitian, which turns i*A Hermitian; 1 otherwise);
 * `conj`: the operator is applied to conj(v_k) (complex symmetric);
   the preconditioned form pairs through conj(z) and the transpose
   inner product instead;
@@ -16,8 +16,8 @@ pairing) says how a class enters it:
   diagonal.  The basis is orthonormal under Re(u^H w), the inner
   product of C^n read as R^(2n), so T is real.
 
-No step takes a shift: the solver either moves T's diagonal or hands
-the steps the operator A - shift*I (see solver._Driver).
+No step reads `rot` or takes a shift: the solver either moves T's
+diagonal or hands the steps the operator rot*(A - shift*I).
 
 A reorthogonalized plain process keeps v_1..v_k as the rows of one
 contiguous block (`_Basis`) and takes each new direction through two
@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class TridiagState:
 
 def process_init(b: np.ndarray, structure: Structure,
                  reorthogonalize: bool = False) -> TridiagState:
-    """Start a plain process from v_1 = rot*b/||b||."""
+    """Start a plain process from v_1 = b/||b||."""
     beta1 = norm2(b)
     basis = _Basis(b.shape[0]) if reorthogonalize else None
     v1 = None
@@ -138,23 +138,18 @@ def process_init(b: np.ndarray, structure: Structure,
         # by the one reciprocal 1/beta; multiplying by that reciprocal
         # gives the same bits (an exact zero's sign and the NaN/Inf
         # pattern aside) without the slower complex division loop
-        v1 = np.multiply(structure.rotate(b), 1.0 / beta1,
+        v1 = np.multiply(b, 1.0 / beta1,
                          out=None if basis is None else basis.new_row())
     return TridiagState(k=0, beta_next=beta1, v_curr=v1, basis=basis)
 
 
 def _step(op: Callable, st: TridiagState, structure: Structure,
-          w: Optional[np.ndarray]) -> TridiagState:
-    """One plain step of the shared recurrence.
-
-    The operator is applied to w = conj(v_k) for a `conj` row and to
-    v_k otherwise (pass w when the caller has already formed it).
-    """
+          w: np.ndarray) -> TridiagState:
+    """One plain step of the shared recurrence; w is the vector the
+    operator is applied to: conj(v_k) on a `conj` row, v_k otherwise."""
     v = st.v_curr
     assert v is not None, "recurrence already terminated"
-    if w is None:
-        w = np.conj(v) if structure.conj else v
-    cand = structure.rotate(op(w))
+    cand = op(w)
     if st.v_prev is not None:
         cand = cand - st.beta_next * st.v_prev
     alpha = 0.0
@@ -177,22 +172,19 @@ def _step(op: Callable, st: TridiagState, structure: Structure,
 # and times steps by these names) sees every call.
 
 def complex_symmetric_step(op: Callable, st: TridiagState,
-                           w: Optional[np.ndarray] = None) -> TridiagState:
+                           w: np.ndarray) -> TridiagState:
     return _step(op, st, STRUCTURES[SymmetryClass.COMPLEX_SYMMETRIC], w)
 
 
-def skew_symmetric_step(op: Callable, st: TridiagState,
-                        w: Optional[np.ndarray] = None) -> TridiagState:
+def skew_symmetric_step(op: Callable, st: TridiagState, w: np.ndarray) -> TridiagState:
     return _step(op, st, STRUCTURES[SymmetryClass.SKEW_SYMMETRIC], w)
 
 
-def skew_hermitian_step(op: Callable, st: TridiagState,
-                        w: Optional[np.ndarray] = None) -> TridiagState:
+def skew_hermitian_step(op: Callable, st: TridiagState, w: np.ndarray) -> TridiagState:
     return _step(op, st, STRUCTURES[SymmetryClass.SKEW_HERMITIAN], w)
 
 
-def hermitian_step(op: Callable, st: TridiagState,
-                   w: Optional[np.ndarray] = None) -> TridiagState:
+def hermitian_step(op: Callable, st: TridiagState, w: np.ndarray) -> TridiagState:
     return _step(op, st, STRUCTURES[SymmetryClass.HERMITIAN], w)
 
 
@@ -235,41 +227,36 @@ def _precond_pair(z: np.ndarray, m_solve, structure: Structure):
 
 def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
                  ) -> TridiagState:
-    """Start a preconditioned process from z_1 = rot*b.
+    """Start a preconditioned process from z_1 = b.
 
-    The process takes a complex128 b over: with rot = 1, z_1 is b itself,
-    and the second step writes z_3 into its storage.
+    The process takes a complex128 b over: z_1 is b itself, and the
+    second step writes z_3 into its storage.
     """
-    z1 = structure.rotate(np.asarray(b, dtype=np.complex128))
+    z1 = np.asarray(b, dtype=np.complex128)
     q1, beta1 = _precond_pair(z1, m_solve, structure)
     return TridiagState(k=0, beta_next=beta1, z_curr=z1, q_curr=q1)
 
 
-def precond_step(op: Callable, st: TridiagState, m_solve: Callable, structure: Structure,
-                 work: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> TridiagState:
+def precond_step(op: Callable, st: TridiagState, m_solve: Callable,
+                 structure: Structure) -> TridiagState:
     """One preconditioned step: the shared recurrence in z/q form.
 
     z_{k+1} = p/beta - (alpha/beta) z_k - (beta/beta_k) z_{k-1}, with
-    p = rot*op(q_k), is written into the storage of z_{k-1}, which
-    retires here; the first step writes it into a new array.  A skew
-    row has no alpha term and forms -p/beta + (beta/beta_k) z_{k-1}.
-    After the whole-vector inner product that gives alpha, one sweep
-    forms z_{k+1} _CHUNK entries at a time, each chunk by p/beta,
-    (alpha/beta) z_k, their difference, (beta/beta_k) z_{k-1} and the
-    last difference, in that order.  These are the ufunc calls of the
-    whole-vector expression on the same scalars, so every entry gets the
-    same bits, and each chunk stays in cache from its first call to its
-    last.
-
-    `work` is a pair of scratch vectors whose contents are not kept
-    (allocated when absent): the first holds rot*p where alpha needs it
-    whole, and the heads of both hold a chunk's two temporaries.  Arrays
-    the operator or the preconditioner return are only read: either may
-    hand back its argument or a cached array.
+    p = op(q_k), is written into the storage of z_{k-1}, which retires
+    here; the first step writes it into a new array.  A skew row has no
+    alpha term and forms -p/beta + (beta/beta_k) z_{k-1}.  After the
+    whole-vector inner product that gives alpha, one sweep forms z_{k+1}
+    _CHUNK entries at a time, each chunk by p/beta, (alpha/beta) z_k,
+    their difference, (beta/beta_k) z_{k-1} and the last difference, in
+    that order.  These are the ufunc calls of the whole-vector
+    expression on the same scalars, so every entry gets the same bits,
+    and each chunk stays in cache from its first call to its last.  A
+    chunk's two temporaries live in a (2, min(n, _CHUNK)) array of the
+    step's own.  Arrays the operator or the preconditioner return are
+    only read: either may hand back its argument or a cached array.
     """
     z, q, beta = st.z_curr, st.q_curr, st.beta_next
     assert z is not None and q is not None and beta > 0.0
-    t, t2 = work if work is not None else (np.empty_like(z), np.empty_like(z))
     z_prev = st.z_prev
     # each out= call below is one operation of the expression in its
     # comment, in numpy's evaluation order, and a division by beta is a
@@ -279,20 +266,18 @@ def precond_step(op: Callable, st: TridiagState, m_solve: Callable, structure: S
         alpha: complex = 0.0
         p_scale = -1.0 / beta
     else:
-        if structure.rot != 1:
-            p = np.multiply(structure.rot, p, out=t)             # rot * p
         alpha = structure.pair(q, p) / beta**2
         p_scale = 1.0 / beta
     z_next = np.empty_like(z) if z_prev is None else z_prev
     z_scale = alpha / beta
     prev_scale = None if z_prev is None else beta / st.beta_curr
     combine = np.add if structure.skew else np.subtract
+    t, t2 = np.empty((2, min(z.shape[0], _CHUNK)), dtype=np.complex128)
     for lo in range(0, z.shape[0], _CHUNK):
         hi = lo + _CHUNK
         p_c, z_c, out = p[lo:hi], z[lo:hi], z_next[lo:hi]
         m = out.shape[0]
-        # the chunk's p / beta goes straight to z_{k+1} on the first step,
-        # else to t's head, which holds no unread entry of p when p is t
+        # the chunk's p / beta goes straight to z_{k+1} on the first step
         t_c = out if z_prev is None else t[:m]
         np.multiply(p_c, p_scale, out=t_c)                       # p / beta, or -p / beta
         if not structure.skew:                                   # - (alpha / beta) z

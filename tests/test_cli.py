@@ -267,6 +267,14 @@ def test_solve_nan_option_exits_input(tmp_path, capsys, option):
     assert "must not be NaN" in capsys.readouterr().err
 
 
+def test_solve_infinite_tol_exits_input(tmp_path, capsys):
+    # every iterate would pass the residual test of an infinite tol
+    path = _matrix_file(tmp_path, np.eye(2), "symmetric")
+    assert main(["solve", "--matrix", path, "--rhs-random", "--tol", "inf"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "tol must be finite" in err and "Traceback" not in err
+
+
 def test_solve_maxit_zero_exits_input(tmp_path, capsys):
     path = _matrix_file(tmp_path, np.eye(2), "symmetric")
     assert main(["solve", "--matrix", path, "--rhs-random", "--maxit", "0"]) == EXIT_INPUT

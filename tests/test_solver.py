@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from symkrylov import solver
 from symkrylov import tridiagonalize as tri
 from symkrylov.core import (
     EPS,
@@ -277,6 +279,12 @@ def test_empty_operator_returns_beta_zero(a, variant):
 def test_nan_option_rejected(name):
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: np.nan})
+    if name == "tol":
+        # every iterate passes an infinite tol's residual test: a random
+        # 8 x 8 Hermitian solve stopped Converged_Rnorm after one
+        # iteration with relerr 1.05
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolverConfig(tol=math.inf)
 
 
 @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf, complex(0, math.nan),
@@ -336,19 +344,48 @@ def test_sparse_and_dense_inputs_agree_bitwise():
     assert r1.iterations == r2.iterations
 
 
+def all_outputs(report, records):
+    """The bits of every report field and of every field of every
+    monitor record."""
+    return [(f.name, np.asarray(getattr(obj, f.name)).tobytes())
+            for obj in (report, *records) for f in fields(obj)]
+
+
 def test_skew_hermitian_equals_rotated_hermitian():
-    # same Krylov process up to matvec rounding (the rotation is applied
-    # before vs after the product, so FMA orderings differ by ulps)
     rng = SplitMix64(808)
     from symkrylov.oracle import skew_hermitian_matrix
 
-    a = skew_hermitian_matrix(13, rng)
-    b = a @ rng.uniforms(13).astype(np.complex128)
+    n = 13
+    a = skew_hermitian_matrix(n, rng)
+    b = a @ rng.uniforms(n).astype(np.complex128)
+    # as dense matrices: the same Krylov process up to matvec rounding (the
+    # rotation is applied before vs after the product, so FMA orderings
+    # differ by ulps)
     r1 = solve(a, b, "sh", SolverConfig(tol=1e-12, maxit=60))
     r2 = solve(1j * a, 1j * b, "hermitian", SolverConfig(tol=1e-12, maxit=60))
     assert abs(r1.iterations - r2.iterations) <= 2
     assert r1.reason in CONVERGED_REASONS and r2.reason in CONVERGED_REASONS
     assert norm2(r1.x - r2.x) <= 1e-4 * max(norm2(r2.x), 1.0)
+    # as operators: sh is the Hermitian system (iA) x = ib shifted by
+    # i*shift, bit for bit; a preconditioned run carries only an imaginary
+    # shift on sh
+    sh = LinearOperator.from_matrix(a, SymmetryClass.SKEW_HERMITIAN)
+    herm = LinearOperator(n, SymmetryClass.HERMITIAN, lambda x: 1j * sh(x))
+    d = np.random.default_rng(808).uniform(0.5, 2.0, n)
+    runs = [({}, (0.0, 0.3j, 0.2 + 0.1j)), ({"reorthogonalize": True}, (0.0, 0.3j, 0.2 + 0.1j)),
+            ({"preconditioner": Diagonal(d)}, (0.0, 0.3j))]
+    for kwargs, shifts in runs:
+        for shift in shifts:
+            for trancond in (1.0, 1e7):
+                out = []
+                for op, rhs, sigma in ((sh, b, shift), (herm, 1j * b, 1j * shift)):
+                    records = []
+                    r = solve(op, rhs, config=SolverConfig(shift=sigma, trancond=trancond),
+                              monitor=records.append, **kwargs)
+                    out.append(all_outputs(r, records))
+                case = (kwargs, shift, trancond)
+                assert r.reason in CONVERGED_REASONS and records, case
+                assert out[0] == out[1], case
 
 
 def test_hermitian_variant_compatible():
@@ -556,6 +593,25 @@ def test_tight_xnorm_stops_immediately():
     r = solve(p.a, p.b, p.variant, SolverConfig(maxxnorm=1e-8))
     assert r.reason is StopReason.XnormExceeded
     assert r.chi <= 1e-8
+
+
+def test_cond_guard_stops_at_a_maxcond_below_one_over_eps():
+    # maxcond is the bound itself: unguarded, this solve runs on to
+    # Converged_Rnorm with acond 1e12
+    a = np.diag([1.0, 1e-6, 1e-12])
+    b = np.random.default_rng(0).standard_normal(3)
+    r = solve(a, b, "hermitian", SolverConfig(maxcond=1e3, maxxnorm=1e300))
+    assert r.reason is StopReason.CondExceeded
+    assert 1e3 <= r.acond < 1.0 / EPS
+
+
+def test_abs_is_inf_where_a_finite_modulus_overflows():
+    z = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):
+        abs(z)
+    assert solver._abs(z) == math.inf
+    assert solver._abs(3.0 - 4.0j) == 5.0
+    assert solver._abs(complex(-math.inf, 1.0)) == math.inf
 
 
 def test_cond_guard_with_xnorm_lifted():

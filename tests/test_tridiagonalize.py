@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symkrylov import Custom, SolverConfig, StopReason, solve
+from symkrylov import solver
 from symkrylov import tridiagonalize as tri
 from symkrylov.core import (
     EPS,
@@ -24,22 +25,29 @@ SH = SymmetryClass.SKEW_HERMITIAN
 H = SymmetryClass.HERMITIAN
 
 
+def rotated(a, variant):
+    """rot*A, the operator the solver hands a process of the class."""
+    op, row = LinearOperator.from_matrix(a, variant), tri.STRUCTURES[variant]
+    return lambda x: row.rotate(op(x))
+
+
+def step(op, st, variant):
+    """One plain step of the class, applied to conj(v_k) on a conj row
+    and to v_k otherwise, as the solver applies it."""
+    w = np.conj(st.v_curr) if tri.STRUCTURES[variant].conj else st.v_curr
+    return getattr(tri, f"{variant.name.lower()}_step")(op, st, w)
+
+
 def run_process(a, variant, b, steps, reorthogonalize=False):
-    op = LinearOperator.from_matrix(a, variant)
-    st = tri.process_init(b, tri.STRUCTURES[variant], reorthogonalize)
+    # the process runs on rot*A from rot*b, as the solver hands them over
+    op, row = rotated(a, variant), tri.STRUCTURES[variant]
+    st = tri.process_init(row.rotate(b), row, reorthogonalize)
     vs = [st.v_curr]
     alphas, betas = [], [st.beta_next]
     for _ in range(steps):
         if st.v_curr is None:
             break
-        if variant is CS:
-            st = tri.complex_symmetric_step(op, st)
-        elif variant is SS:
-            st = tri.skew_symmetric_step(op, st)
-        elif variant is SH:
-            st = tri.skew_hermitian_step(op, st)
-        else:
-            st = tri.hermitian_step(op, st)
+        st = step(op, st, variant)
         alphas.append(st.alpha)
         betas.append(st.beta_next)
         vs.append(st.v_curr)
@@ -76,23 +84,21 @@ def test_init_zero_b_degenerate():
 def test_cs_step_tiny_diagonal():
     # i*diag(1,0) with b = i[1,1]: alpha_1 = -i/2, beta_2 = 1/2
     op = LinearOperator.from_matrix(1j * np.diag([1.0, 0.0]), CS)
-    st = tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS])
-    st = tri.complex_symmetric_step(op, st)
+    st = step(op, tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS]), CS)
     assert abs(st.alpha - (-0.5j)) <= 8 * EPS
     assert abs(st.beta_next - 0.5) <= 8 * EPS
 
 
 def test_identity_terminates_after_one_step():
     op = LinearOperator.from_matrix(np.eye(3), CS)
-    st = tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS])
-    st = tri.complex_symmetric_step(op, st)
+    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]), CS)
     assert abs(st.alpha - 1.0) <= 4 * EPS
     assert st.beta_next == 0.0 and st.v_curr is None
 
 
 def test_zero_operator_terminates():
     op = LinearOperator.from_matrix(np.zeros((3, 3)), CS)
-    st = tri.complex_symmetric_step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]))
+    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]), CS)
     assert st.beta_next == 0.0
 
 
@@ -115,10 +121,10 @@ def test_skew_alpha_identically_zero():
 
 def test_skew_hermitian_identity_scaled():
     # A = i*I folds to -I: alpha_1 = -1, immediate termination
-    op = LinearOperator.from_matrix(1j * np.eye(2), SH)
-    st = tri.process_init(np.array([1.0, 0.0]), tri.STRUCTURES[SH])
+    op = rotated(1j * np.eye(2), SH)
+    st = tri.process_init(1j * np.array([1.0, 0.0]), tri.STRUCTURES[SH])
     np.testing.assert_allclose(st.v_curr, [1j, 0.0], atol=4 * EPS)
-    st = tri.skew_hermitian_step(op, st)
+    st = step(op, st, SH)
     assert abs(st.alpha - (-1.0)) <= 4 * EPS
     assert st.beta_next <= 4 * EPS
 
@@ -212,13 +218,12 @@ def test_reorthogonalized_basis_block(variant):
          SH: lambda: skew_hermitian_matrix(n, rng),
          H: lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[variant]()
     b = rng.uniforms(n).astype(np.complex128)
-    op = LinearOperator.from_matrix(a, variant)
-    step = getattr(tri, f"{variant.name.lower()}_step")
-    st = tri.process_init(b, tri.STRUCTURES[variant], reorthogonalize=True)
+    op, row = rotated(a, variant), tri.STRUCTURES[variant]
+    st = tri.process_init(row.rotate(b), row, reorthogonalize=True)
     kept, snapshots = [st.v_curr], [st.v_curr.copy()]
     blocks = {id(st.basis.rows().base)}
     for _ in range(n - 1):
-        st = step(op, st)
+        st = step(op, st, variant)
         kept.append(st.v_curr)
         snapshots.append(st.v_curr.copy())
         blocks.add(id(st.basis.rows().base))
@@ -286,7 +291,7 @@ def test_precond_identity_first_steps_match_plain():
     # compared; one step stays at a few eps
     for k, (tol_s, tol_v) in enumerate([(4 * EPS, 1e-14), (16 * EPS, 1e-13),
                                         (64 * EPS, 1e-12)]):
-        stp = tri.complex_symmetric_step(op, stp)
+        stp = step(op, stp, CS)
         stq = tri.precond_step(op, stq, ident, tri.STRUCTURES[CS])
         assert abs(stp.alpha - stq.alpha) <= tol_s
         assert abs(stp.beta_next - stq.beta_next) <= tol_s
@@ -300,19 +305,13 @@ def test_precond_identity_skew_step():
     b = rng.uniforms(9).astype(np.complex128)
     op = LinearOperator.from_matrix(a, SS)
     ident = lambda z: z.copy()
-    stp = tri.skew_symmetric_step(op, tri.process_init(b, tri.STRUCTURES[SS]))
+    stp = step(op, tri.process_init(b, tri.STRUCTURES[SS]), SS)
     stq = tri.precond_step(op, tri.precond_init(b, ident, tri.STRUCTURES[SS]), ident,
                            tri.STRUCTURES[SS])
     assert abs(stp.beta_next - stq.beta_next) <= 16 * EPS
     # plain negates the stored vector; the z recurrence carries the sign
     np.testing.assert_allclose(stq.z_curr / stq.beta_next, stp.v_curr,
                                atol=1e-13)
-
-
-def test_precond_init_skew_hermitian_rotates_b():
-    b = np.array([1.0, 2.0])
-    st = tri.precond_init(b, lambda z: z.copy(), tri.STRUCTURES[SH])
-    np.testing.assert_array_equal(st.z_curr, 1j * b)
 
 
 def test_precond_diagonal_quarter():
@@ -386,14 +385,16 @@ def test_precond_pair_breakdown_when_the_modulus_overflows(row):
 
 @pytest.mark.parametrize("variant", [CS, SS, SH, H])
 def test_init_vector_is_rotated_b_over_beta(variant):
-    # the first basis vector is rot*b / beta_1 bit for bit, across the range
+    # the first basis vector of the process the solver starts is
+    # rot*b / beta_1 bit for bit, across the range
     rng = np.random.default_rng(11)
     b = (rng.standard_normal(64) * 2.0 ** rng.integers(-40, 40, 64)
          + 1j * rng.standard_normal(64) * 2.0 ** rng.integers(-40, 40, 64))
     b[::7] = 0.0
     row = tri.STRUCTURES[variant]
-    st = tri.process_init(b, row)
-    np.testing.assert_array_equal(st.v_curr, row.rotate(b) / st.beta_next)
+    driver = solver._Driver(LinearOperator(64, variant, lambda x: x), 0j, None)
+    driver.start(b.copy(), reorthogonalize=False)
+    np.testing.assert_array_equal(driver.st.v_curr, row.rotate(b) / driver.beta1)
 
 
 # precond_step's chunked sweep against the whole-vector expression it
@@ -409,8 +410,6 @@ def unblocked_precond_z(op, st, structure):
         alpha = 0.0
         t = np.multiply(p, -1.0 / beta)
     else:
-        if structure.rot != 1:
-            p = np.multiply(structure.rot, p)
         alpha = complex(np.dot(q, p) if structure.conj else np.vdot(q, p)) / beta**2
         t = np.subtract(np.multiply(p, 1.0 / beta), np.multiply(alpha / beta, z))
     if z_prev is None:
@@ -445,22 +444,22 @@ SWEEP_SIZES = [1, tri._CHUNK - 1, tri._CHUNK, tri._CHUNK + 1, 3 * tri._CHUNK + 5
 def test_precond_sweep_matches_whole_vector_passes(variant, shift, n, kind):
     rng = np.random.default_rng([n, len(kind)])
     row = tri.STRUCTURES[variant]
-    op = a = LinearOperator(n, variant, sweep_operator(kind, n, rng))
-    if shift:
-        # a preconditioned step takes A - shift*I as this closure from the solver
-        op = lambda x: a(x) - shift * x
+    a = LinearOperator(n, variant, sweep_operator(kind, n, rng))
+    # the solver hands a preconditioned step rot*A, less shift*I when
+    # shifted, as a closure, and the process rot*b
+    rot_a = lambda x: row.rotate(a(x))
+    op = (lambda x: rot_a(x) - shift * x) if shift else rot_a
     d = 0.5 + rng.uniform(size=n)
     # M^{-1} = I hands z back as q on a row without conj
     m_solve = (lambda v: v) if kind == "argument" else (lambda v: v / d)
-    st = tri.precond_init(rng.standard_normal(n) + 1j * rng.standard_normal(n), m_solve, row)
-    # scratch rows as the solver lends them, holding NaN: no result may read them
-    work = tuple(np.full((2, n), np.nan, dtype=np.complex128))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    st = tri.precond_init(row.rotate(b), m_solve, row)
     for k in range(4):
         # the reference reads copies, since the step writes z_{k-1} over
         copies = {f: None if getattr(st, f) is None else getattr(st, f).copy()
                   for f in ("z_prev", "z_curr", "q_curr")}
         alpha, z_next = unblocked_precond_z(op, dataclasses.replace(st, **copies), row)
-        st = tri.precond_step(op, st, m_solve, row, work if k % 2 else None)
+        st = tri.precond_step(op, st, m_solve, row)
         assert np.complex128(st.alpha).tobytes() == np.complex128(alpha).tobytes()
         assert st.z_curr.tobytes() == z_next.tobytes()
         assert st.z_prev.tobytes() == copies["z_curr"].tobytes()
