@@ -6,15 +6,17 @@ Two subcommands:
   hand side, run the solver, print a key: value report.  Exit code 0
   when a solution was delivered, 2 when a regularization limit stopped
   the run (condition or solution-norm bound), 3 on the iteration limit,
-  4 on input problems (parse errors, a NaN option, failed structure probe,
-  preconditioner breakdown).
-* experiment: run a reproducible generated suite and write one CSV row
-  per problem, with a pass-fraction summary on stdout;
+  4 on input problems (parse errors, an option SolverConfig refuses,
+  failed structure probe, preconditioner breakdown).
+* experiment: run a reproducible generated suite, one of the families
+  of oracle.FAMILIES (default n: the family's paper size), and write one
+  CSV row per problem, with a pass-fraction summary on stdout;
   --reorthogonalize runs it with full reorthogonalization.
 
-The coordinate format subset understood here: real or complex field;
-general, symmetric, skew-symmetric or hermitian symmetry.  Skew files
-must not carry diagonal entries; hermitian diagonals must be real.
+Matrix Market files are read, never written.  The coordinate format
+subset understood here: real or complex field; general, symmetric,
+skew-symmetric or hermitian symmetry.  Skew files must not carry
+diagonal entries; hermitian diagonals must be real.
 Skew Hermitian matrices have no Matrix Market symmetry tag of their
 own, so ship them as general plus --variant sh.
 """
@@ -32,7 +34,7 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from .core import EPS, SparseMatrix, SymmetryClass, norm2
-from .oracle import SplitMix64, suite_problem, tsvd_solve
+from .oracle import FAMILIES, SplitMix64, suite_problem, tsvd_solve
 from .precond import jacobi_from_matrix
 from .solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
 
@@ -42,8 +44,6 @@ EXIT_OK = 0
 EXIT_REGULARIZED = 2
 EXIT_MAXIT = 3
 EXIT_INPUT = 4
-
-_FAMILY_DEFAULT_N = {"cs-h": 50, "cs-m": 50, "ss": 51, "sh": 51}
 
 # the SolverConfig fields that solve takes as options of their own name
 _CONFIG_OPTIONS = (("tol", float), ("maxit", int), ("maxxnorm", float), ("maxcond", float),
@@ -152,35 +152,6 @@ def mm_read(path: str) -> Tuple[SparseMatrix, str]:
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def mm_write(path: str, mat: SparseMatrix, symmetry: str = "general") -> None:
-    """Write a coordinate file.  For the symmetric kinds only the lower
-    triangle is emitted; the matrix is trusted to have the structure."""
-    if symmetry not in _MM_SYMMETRIES:
-        raise InputError(f"unsupported symmetry kind {symmetry!r}")
-    n = mat.n
-    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
-    cols = mat.indices
-    vals = mat.data
-    if symmetry == "skew-symmetric":
-        keep = rows > cols
-    elif symmetry == "general":
-        keep = np.ones(rows.size, dtype=bool)
-    else:
-        keep = rows >= cols
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if symmetry == "hermitian" and np.any(vals[rows == cols].imag != 0.0):
-        raise InputError("hermitian write needs a real diagonal")
-    field = "real" if np.all(vals.imag == 0.0) else "complex"
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {field} {symmetry}\n")
-        fh.write(f"{n} {n} {rows.size}\n")
-        for i, j, v in zip(rows, cols, vals):
-            if field == "real":
-                fh.write(f"{i + 1} {j + 1} {_fmt(v.real)}\n")
-            else:
-                fh.write(f"{i + 1} {j + 1} {_fmt(v.real)} {_fmt(v.imag)}\n")
 
 
 def read_rhs(path: str, n: int) -> np.ndarray:
@@ -325,7 +296,7 @@ def write_records(records: List[RunRecord], out: TextIO) -> None:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    n = args.n if args.n is not None else _FAMILY_DEFAULT_N[args.family]
+    n = args.n if args.n is not None else FAMILIES[args.family].paper_n
     if args.count < 0:          # 0 gives an empty suite, a CSV header alone
         raise InputError(f"--count must not be negative, got {args.count}")
     try:
@@ -369,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_solve)
 
     pe = sub.add_parser("experiment", help="run a generated suite to CSV")
-    pe.add_argument("--family", required=True, choices=sorted(_FAMILY_DEFAULT_N))
+    pe.add_argument("--family", required=True, choices=sorted(FAMILIES))
     pe.add_argument("--n", type=int, default=None)
     pe.add_argument("--count", type=int, default=10,
                     help="problems per half (compatible and incompatible)")

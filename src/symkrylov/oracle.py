@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -163,30 +163,29 @@ def skew_hermitian_matrix(n: int, rng: SplitMix64) -> np.ndarray:
     return s + 1j * b
 
 
+def _above_noise(s: np.ndarray, n: int) -> np.ndarray:
+    """Which of the descending singular values s of an order-n matrix
+    count toward its rank: those above n*eps*s[0], the noise scale the
+    iterative side uses for its rank decisions too."""
+    return s > n * EPS * s[:1]
+
+
 def numerical_rank(a: np.ndarray) -> int:
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > a.shape[0] * EPS * s[0]))
+    return int(np.count_nonzero(_above_noise(s, a.shape[0])))
 
 
-def tsvd_solve(a: np.ndarray, b: np.ndarray, t: Optional[float] = None) -> np.ndarray:
-    """Minimum-length least-squares solution by truncated SVD.
-
-    Singular values at or below t*eps*sigma_max are treated as zero;
-    t defaults to the dimension, the same noise scale the iterative
-    side uses for rank decisions.
-    """
+def tsvd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-length least-squares solution by truncated SVD: the
+    singular values that numerical_rank does not count are treated as
+    zero."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if t is None:
-        t = float(a.shape[0])
     u, s, vh = np.linalg.svd(a)
     ub = u.conj().T @ b
     y = np.zeros_like(ub)
-    if s.size:
-        keep = s > t * EPS * s[0]
-        y[keep] = ub[keep] / s[keep]
+    keep = _above_noise(s, a.shape[0])
+    y[keep] = ub[keep] / s[keep]
     return vh.conj().T @ y
 
 
@@ -222,53 +221,54 @@ class GeneratedProblem:
         return numerical_rank(self.a)
 
 
-_FAMILY_CODE = {"cs-h": 1, "cs-m": 2, "ss": 3, "sh": 4}
+class Family(NamedTuple):
+    """One generated suite: the code that seeds its streams, its
+    symmetry class, its least n, the n of the paper's protocol and its
+    matrix generator, called as matrix(n, rng)."""
 
-_FAMILY_VARIANT = {
-    "cs-h": SymmetryClass.COMPLEX_SYMMETRIC,
-    "cs-m": SymmetryClass.COMPLEX_SYMMETRIC,
-    "ss": SymmetryClass.SKEW_SYMMETRIC,
-    "sh": SymmetryClass.SKEW_HERMITIAN,
+    code: int
+    variant: SymmetryClass
+    least: int
+    paper_n: int
+    matrix: Callable[[int, SplitMix64], np.ndarray]
+
+
+# cs families are generated at rank n-3; ss relies on odd n for its
+# nullity; sh is singular by construction
+FAMILIES = {
+    "cs-h": Family(1, SymmetryClass.COMPLEX_SYMMETRIC, 3, 50,
+                   lambda n, rng: symmetric_imaginary_matrix(n, n - 3, rng)),
+    "cs-m": Family(2, SymmetryClass.COMPLEX_SYMMETRIC, 3, 50,
+                   lambda n, rng: mixed_spectrum_matrix(n, n - 3, rng)),
+    "ss": Family(3, SymmetryClass.SKEW_SYMMETRIC, 1, 51, skew_symmetric_matrix),
+    "sh": Family(4, SymmetryClass.SKEW_HERMITIAN, 1, 51, skew_hermitian_matrix),
 }
-
-
-def _stream(seed: int, family: str, index: int, compatible: bool) -> SplitMix64:
-    mixed = (seed * _GOLDEN + _FAMILY_CODE[family] * 65537
-             + index * 2 + int(compatible)) & _MASK
-    return SplitMix64(mixed)
 
 
 def suite_problem(family: str, n: int, index: int, seed: int,
                   compatible: bool) -> GeneratedProblem:
     """Deterministic problem index `index` of a family suite.
 
-    cs families are generated at rank n-3, so they need n >= 3; ss
-    relies on odd n for its nullity; sh is singular by construction.
-    An n below the family's least raises ValueError.  Compatible
+    The family's row of FAMILIES gives its stream code, class, least n
+    and generator; an n below the least raises ValueError.  Compatible
     right-hand sides are A z with z uniform; incompatible ones are
     plain uniform.
     """
-    if family not in _FAMILY_CODE:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    least = 3 if family.startswith("cs") else 1
-    if n < least:
-        raise ValueError(f"{family} problems need n >= {least}, got {n}")
-    rng = _stream(seed, family, index, compatible)
-    if family == "cs-h":
-        a = symmetric_imaginary_matrix(n, n - 3, rng)
-    elif family == "cs-m":
-        a = mixed_spectrum_matrix(n, n - 3, rng)
-    elif family == "ss":
-        a = skew_symmetric_matrix(n, rng)
-    else:
-        a = skew_hermitian_matrix(n, rng)
+    fam = FAMILIES[family]
+    if n < fam.least:
+        raise ValueError(f"{family} problems need n >= {fam.least}, got {n}")
+    # one stream per seed, family, index and half
+    rng = SplitMix64(seed * _GOLDEN + fam.code * 65537 + index * 2 + int(compatible))
+    a = fam.matrix(n, rng)
     z = rng.uniforms(n).astype(np.complex128)
     b = a @ z if compatible else z
     kind = "c" if compatible else "i"
     return GeneratedProblem(
         id=f"{family}-n{n}-{kind}{index:03d}",
         n=n,
-        variant=_FAMILY_VARIANT[family],
+        variant=fam.variant,
         a=a,
         b=b,
         compatible=compatible,

@@ -115,9 +115,9 @@ class SolverConfig:
     wrong type raises ValueError naming the field.  So does a number
     beyond float range (an int such as 10**400), a NaN tol, maxxnorm,
     maxcond or trancond, since every test against it would fail, an
-    infinite tol, which every iterate would pass, a maxit below 1, and a
-    shift with a NaN or infinite part, which would turn every iterate
-    into NaN.
+    infinite tol or a tol of 1 or more, which the first iterate would
+    pass, a maxit below 1, and a shift with a NaN or infinite part,
+    which would turn every iterate into NaN.
     """
 
     tol: float = EPS
@@ -142,6 +142,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must not be NaN")
             if name == "tol" and math.isinf(value):
                 raise ValueError("tol must be finite")
+            if name == "tol" and value >= 1.0:  # the Rnorm test's ratio is <= 1
+                raise ValueError("tol must be below 1")
             object.__setattr__(self, name, value)
         if not _number(self.shift, numbers.Complex):
             raise ValueError(f"shift must be a complex number, got {self.shift!r}")

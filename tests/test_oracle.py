@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_numerical_rank_oracles():
 
 
 def test_tsvd_diagonal_truncation():
-    x = tsvd_solve(np.diag([2.0, 1.0, 0.0]), np.array([2.0, 1.0, 1.0]), t=1.0)
+    x = tsvd_solve(np.diag([2.0, 1.0, 0.0]), np.array([2.0, 1.0, 1.0]))
     np.testing.assert_allclose(x, [1.0, 1.0, 0.0], atol=1e-14)
 
 
@@ -279,6 +280,21 @@ def test_suite_problem_needs_the_family_least_n(family, least):
     with pytest.raises(ValueError, match=f"{family} problems need n >= {least}, got {least - 1}"):
         suite_problem(family, least - 1, 0, 1, True)
     assert suite_problem(family, least, 0, 1, False).a.shape == (least, least)
+
+
+@pytest.mark.parametrize("family, n, digest", [
+    ("cs-h", 50, "9029692343a10b97398c73bd71f46c86a8f422e04b47f7059449197547878d5e"),
+    ("cs-m", 50, "469c7cd10083fdada63b84fa110038568e0c9e796648317f2490772c1ebb594a"),
+    ("ss", 51, "a0b04435290d3c5b9872513cdacb29fa39c1ce0d42f00f955d211e43b8be8b21"),
+    ("sh", 51, "34356fe77f7b5c29daf02c22ff30465da2fc59f40dcb45d3ef734a0ffb14021c"),
+])
+def test_each_family_keeps_its_stream(family, n, digest):
+    # a least-squares b is the uniform z drawn after the matrix, so its
+    # bytes pin the family's stream code and its generator's draw count;
+    # that is integer arithmetic, the same on every machine, where a is
+    # not (it goes through LAPACK)
+    p = suite_problem(family, n, 0, 1, False)
+    assert hashlib.sha256(p.b.tobytes()).hexdigest() == digest
 
 
 def test_distinct_streams_give_distinct_problems():

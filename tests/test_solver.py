@@ -285,6 +285,11 @@ def test_nan_option_rejected(name):
         # iteration with relerr 1.05
         with pytest.raises(ValueError, match="tol must be finite"):
             SolverConfig(tol=math.inf)
+        # phi never exceeds beta_1, so a tol of 1 or more passes at
+        # iteration 1 too: the same solve, relerr 1.07
+        for tol in (1, 1.0, 1e300):
+            with pytest.raises(ValueError, match="tol must be below 1"):
+                SolverConfig(tol=tol)
 
 
 @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf, complex(0, math.nan),
@@ -313,9 +318,9 @@ def test_wrong_option_type_is_named(name, value):
 
 
 def test_options_are_stored_in_their_own_type():
-    cfg = SolverConfig(tol=1, maxxnorm=np.float32(2.0), maxcond=10**3, trancond=1,
+    cfg = SolverConfig(tol=0, maxxnorm=np.float32(2.0), maxcond=10**3, trancond=1,
                        shift=np.complex64(1 + 2j))
-    for name, value in (("tol", 1.0), ("maxxnorm", 2.0), ("maxcond", 1e3),
+    for name, value in (("tol", 0.0), ("maxxnorm", 2.0), ("maxcond", 1e3),
                         ("trancond", 1.0), ("shift", 1 + 2j)):
         assert type(getattr(cfg, name)) is type(value) and getattr(cfg, name) == value
     assert type(SolverConfig(shift=2).shift) is complex
