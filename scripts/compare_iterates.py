@@ -33,9 +33,11 @@ The set:
     carry: SHIFT on cs, its real part on hermitian, its imaginary part
     on sh and ss;
   * a small fixed block of solves, built as in tests/, that stop for
-    each of the eight reasons the sets above do not reach (stop_runs),
-    with and without a monitor, plus an entry with a NaN tol, which
-    records the ValueError it raises;
+    each of the seven reasons the sets above do not reach (stop_runs:
+    CondExceeded, on two problems, MaxIt, BetaZero_xZero,
+    Beta2Zero_OneStep, NotStructured, NonFinite and
+    PreconditionerBreakdown), with and without a monitor, plus an entry
+    with a NaN tol, which records the ValueError it raises;
   * a generator block, which runs no solve: every suite problem the
     bench/ suite-dense workload builds at seeds 1-20 (its four families,
     both halves, its per_half problems per half), each recorded as a
@@ -166,8 +168,9 @@ def stop_runs():
                 {"preconditioner": sk.Custom(m_solve)})
 
     cases = {
-        "GammaZero": lambda sk: suite(sk, "cs-h", 30, 0, False, tol=eps, maxit=500,
-                                      maxxnorm=1e300),
+        # a least-squares solve whose revealed diagonal collapses
+        "CondExceeded cs-h": lambda sk: suite(sk, "cs-h", 30, 0, False, tol=eps, maxit=500,
+                                              maxxnorm=1e300),
         "CondExceeded": lambda sk: suite(sk, "cs-m", 30, 2, False, tol=eps, maxit=500,
                                          maxxnorm=1e300),
         "MaxIt": lambda sk: suite(sk, "cs-h", 30, 0, True, maxit=1),

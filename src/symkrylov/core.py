@@ -316,7 +316,11 @@ def probe_symmetry(op: LinearOperator) -> float:
     skew-adjoint on a `skew` row (see Structure).
 
     Returns the worst relative defect, 0.0 for an empty operator, which
-    has no vector to probe with.  Raises StructureError (a ValueError)
+    has no vector to probe with.  The defect |<y, Bz> -+ <By, z>| is
+    measured against anorm_est*||y||*||z||, anorm_est the largest
+    ||By||/||y|| seen, floored only at the smallest normal float: the
+    probe gives the same verdict for 2**k * A wherever the operator's
+    entries stay normal numbers.  Raises StructureError (a ValueError)
     when the operator visibly violates its declared class, and
     NonFiniteError when a product holds NaN or Inf.
     """
@@ -346,7 +350,7 @@ def probe_symmetry(op: LinearOperator) -> float:
         anorm_est = max(anorm_est, by_norm / y_norm, bz_norm / z_norm)
         # <y, Bz> - <By, z>, or + on a skew row
         defect = abs(row.pair(y, bz) + (by_z if row.skew else -by_z))
-        scale = max(anorm_est * y_norm * z_norm, EPS)
+        scale = max(anorm_est * y_norm * z_norm, np.finfo(float).tiny)
         worst = max(worst, defect / scale)
     if worst > 1e-10:
         raise StructureError(

@@ -71,7 +71,6 @@ class StopReason(str, Enum):
     Converged_ArNorm = "Converged_ArNorm"
     BetaZero_xZero = "BetaZero_xZero"
     Beta2Zero_OneStep = "Beta2Zero_OneStep"
-    GammaZero = "GammaZero"
     MaxIt = "MaxIt"
     CondExceeded = "CondExceeded"
     XnormExceeded = "XnormExceeded"
@@ -88,7 +87,6 @@ CONVERGED_REASONS = frozenset(
         StopReason.Converged_ArNorm,
         StopReason.BetaZero_xZero,
         StopReason.Beta2Zero_OneStep,
-        StopReason.GammaZero,
         StopReason.LanczosExhausted,
     }
 )
@@ -252,7 +250,7 @@ class _Driver:
         1) is taken over (a preconditioned process reuses its storage)."""
         b = self.row.rotate(b)
         self.st = (tri.precond_init(b, self.m_solve, self.row) if self.m_solve is not None
-                   else tri.process_init(b, self.row, reorthogonalize))
+                   else tri.process_init(b, reorthogonalize))
         self.beta1 = self.st.beta_next
         if not math.isfinite(self.beta1):
             raise NonFiniteError("beta_1 is not finite")
@@ -310,6 +308,12 @@ class _Engine:
     estimates, and the decisions: the phase, the rank, the length
     bound.  A register lagged across iterations holds the value of the
     iteration that set it last; step() shifts it into place first.
+
+    The engine is unit free: each threshold on T_k is relative to anorm,
+    its estimate of ||T_k||, and the one rank decision (`collapsed` in
+    step()) is stated once.  So T_k times 2**k gives the same decisions,
+    reflections and mu values times 2**-k, bit for bit while they stay
+    in range.  Only maxxnorm is absolute, in the units of b.
     """
 
     __slots__ = (
@@ -424,22 +428,18 @@ class _Engine:
         self.anorm, self.gamma_min = anorm, gamma_min
         self.acond = acond = anorm / gamma_min if gamma_min > 0.0 else math.inf
 
-        # noise scale for rank decisions; the n factor keeps the
-        # classification robust once beta terminates at roundoff level
-        anorm_1 = 1.0 if 1.0 > anorm else anorm          # max(anorm, 1.0)
-        tiny_rank = self.n * EPS * anorm_1
-        # a deficient final column is the one signal phi cannot carry:
-        # the terminal rotation has |s| = 0 for either rank, so the
-        # revealed diagonal decides; its roundoff level after an
-        # exhausted basis sits well above n*eps*anorm
-        rank_deficient = False
-        if lanczos_done:
-            floor = _SQRT_EPS * anorm_1
-            rank_deficient = abs_gamma4 <= (floor if floor > tiny_rank else tiny_rank)
-        self.rank_deficient = rank_deficient
-        if rank_deficient or abs_gamma4 < EPS:
-            # a collapsed revealed diagonal means the rotation's
-            # residual reduction was noise; undo the phi update
+        # the one rank decision, relative to anorm, so that it does not
+        # depend on the scale of A: the revealed diagonal has collapsed
+        # when it is at the noise level n*eps*anorm, or when it is the
+        # deficient final column.  That column is the one signal phi
+        # cannot carry: the terminal rotation has |s| = 0 for either
+        # rank, and its roundoff level after an exhausted basis sits well
+        # above n*eps*anorm.  A collapsed column takes no mu_k, and its
+        # rotation's residual reduction was noise, so phi is reverted
+        collapsed = (abs_gamma4 <= self.n * EPS * anorm
+                     or lanczos_done and abs_gamma4 <= _SQRT_EPS * anorm)
+        self.rank_deficient = lanczos_done and collapsed
+        if collapsed:
             phi = phi_prev
         self.phi = phi
 
@@ -456,7 +456,7 @@ class _Engine:
             mu_km2 = _mu(tau2_km2, eta_km2, mu_l3, theta2_km2, mu_l2, gamma6)
         if k > 1:
             mu_km1 = _mu(self.tau2_km1, self.eta_km1, mu_l2, theta2_km1, mu_km2, gamma5)
-        if abs_gamma4 <= tiny_rank or rank_deficient:
+        if collapsed:
             mu_k = 0.0 + 0.0j
         else:
             mu_k = _mu(tau2, eta_k, mu_km2, theta_k, mu_km1, gamma4)
@@ -494,7 +494,9 @@ class _Engine:
         return phi > 0.0 and psi <= self.rtol * self.anorm * phi
 
     def verdict(self) -> Optional[StopReason]:
-        """Why to stop after iteration k, or None to go on."""
+        """Why to stop after iteration k, or None to go on.  A collapsed
+        column is no reason to stop: it added no mu_k and kept phi, and
+        the tests below see the iterate it left."""
         if self.lanczos_done and self.k == 1:
             return StopReason.Beta2Zero_OneStep
         if self.phi / (self.anorm * self.chi + self.beta1) <= self.rtol:
@@ -503,10 +505,6 @@ class _Engine:
             return StopReason.Converged_ArNorm
         if self.lanczos_done:
             return StopReason.Converged_ArNorm if self.rank_deficient else StopReason.LanczosExhausted
-        if abs(self.gamma4) < EPS or (not self.qlp and self.gamma2 == 0.0):
-            # rank-revealed diagonal collapsed (the d-recurrence
-            # would be undefined too); phi was already reverted
-            return StopReason.GammaZero
         if self.acond >= self.cfg.maxcond:
             return StopReason.CondExceeded
         if self.xnorm_stop:
@@ -687,6 +685,14 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     A - shift*I in A's class (any shift on cs, a real one on hermitian,
     an imaginary one on sh and ss); any other raises ValueError before
     the operator is applied (see _Driver).
+
+    b is scaled by a power of two on entry, and every threshold of the
+    probe and the engine is relative to the operator's norm, so without
+    a preconditioner solve(2**k * A, 2**k * b) returns the x of
+    solve(A, b) bit for bit while the process's products stay in range.
+    A converged reason (CONVERGED_REASONS) on an inconsistent problem
+    means a least-squares x by the recurred estimates; it is the
+    minimum-length one wherever the basis stays orthogonal.
     """
     cfg = config or SolverConfig()
     op = _as_operator(A, variant)
@@ -762,9 +768,9 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     except PreconditionerBreakdownError:
         # a breakdown in the look-ahead step keeps the loop's reason
         reason, psi = reason or StopReason.PreconditionerBreakdown, engine.psi
-    if reason is StopReason.GammaZero and engine.ar_converged(psi, engine.phi):
-        # the collapse left an iterate that already passes the A*r test;
-        # the in-loop check lags one step and loses that race
+    if reason is StopReason.CondExceeded and engine.ar_converged(psi, engine.phi):
+        # a collapsed column left an iterate that already passes the A*r
+        # test; the in-loop check lags one step and loses that race
         reason = StopReason.Converged_ArNorm
     return SolveReport(x=_ldexp(vectors.iterate(engine), e), reason=reason, iterations=engine.k,
                        transfer_iteration=engine.transfer_iteration, phi=_ldexp(engine.phi, e),

@@ -127,8 +127,7 @@ class TridiagState:
     q_curr: Optional[np.ndarray] = None
 
 
-def process_init(b: np.ndarray, structure: Structure,
-                 reorthogonalize: bool = False) -> TridiagState:
+def process_init(b: np.ndarray, reorthogonalize: bool = False) -> TridiagState:
     """Start a plain process from v_1 = b/||b||."""
     beta1 = norm2(b)
     basis = _Basis(b.shape[0]) if reorthogonalize else None

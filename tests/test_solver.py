@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from symkrylov import solver
@@ -165,6 +165,9 @@ def test_probe_accepts_each_construction_under_its_classes_only(n, s):
 @given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**31))
 @seed(2028)
 @settings(max_examples=60, deadline=None)
+# 'real R - R^T' under sh, plain: a rank-deficient n = 3 least-squares
+# problem that once stopped converged with relerr 0.044
+@example(n=3, s=284241)
 def test_accepted_converged_solves_are_right(n, s):
     # no converged reason with a wrong x: plain, reorthogonalized, or
     # through the preconditioned process with M = I held as a Diagonal
@@ -244,13 +247,12 @@ def test_array_holding_dataclasses_compare_by_identity():
     for records in (first, second):
         solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), "hermitian", monitor=records.append)
     b = np.ones(4, dtype=np.complex128)
-    hermitian = tri.STRUCTURES[SymmetryClass.HERMITIAN]
     pairs = [
         (SparseMatrix.from_dense(np.eye(3)), SparseMatrix.from_dense(np.eye(3))),
         (Diagonal(np.ones(3)), Diagonal(np.ones(3))),
         (SolveReport(np.zeros(3), StopReason.MaxIt), SolveReport(np.zeros(3), StopReason.MaxIt)),
         (suite_problem("cs-h", 6, 0, SEED, True), suite_problem("cs-h", 6, 0, SEED, True)),
-        (tri.process_init(b, hermitian), tri.process_init(b, hermitian)),
+        (tri.process_init(b), tri.process_init(b)),
         (first[0], second[0]),
     ]
     for one, other in pairs:
@@ -631,8 +633,7 @@ def test_collapsed_diagonal_stop_with_guards_lifted():
     p = suite_problem("cs-h", 30, 0, SEED, False)
     r = solve(p.a, p.b, p.variant,
               SolverConfig(tol=EPS, maxit=500, maxxnorm=1e300))
-    assert r.reason in (StopReason.GammaZero, StopReason.Converged_ArNorm,
-                        StopReason.CondExceeded)
+    assert r.reason in (StopReason.Converged_ArNorm, StopReason.CondExceeded)
 
 
 def test_converged_suite_sample_each_family():

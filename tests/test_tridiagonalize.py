@@ -41,7 +41,7 @@ def step(op, st, variant):
 def run_process(a, variant, b, steps, reorthogonalize=False):
     # the process runs on rot*A from rot*b, as the solver hands them over
     op, row = rotated(a, variant), tri.STRUCTURES[variant]
-    st = tri.process_init(row.rotate(b), row, reorthogonalize)
+    st = tri.process_init(row.rotate(b), reorthogonalize)
     vs = [st.v_curr]
     alphas, betas = [], [st.beta_next]
     for _ in range(steps):
@@ -66,39 +66,37 @@ def rect_t(alphas, betas, variant):
 
 
 def test_init_normalizes():
-    st = tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS])
+    st = tri.process_init(1j * np.ones(2))
     assert abs(st.beta_next - np.sqrt(2)) <= 4 * EPS
     np.testing.assert_allclose(st.v_curr, 1j * np.ones(2) / np.sqrt(2), atol=4 * EPS)
-    st = tri.process_init(np.array([1.0, 0.0]), tri.STRUCTURES[CS])
+    st = tri.process_init(np.array([1.0, 0.0]))
     assert st.beta_next == 1.0
     np.testing.assert_array_equal(st.v_curr, [1.0, 0.0])
 
 
 def test_init_zero_b_degenerate():
-    st = tri.process_init(np.zeros(3), tri.STRUCTURES[CS])
-    assert st.beta_next == 0.0 and st.v_curr is None
-    st = tri.process_init(np.zeros(3), tri.STRUCTURES[SH])
+    st = tri.process_init(np.zeros(3))
     assert st.beta_next == 0.0 and st.v_curr is None
 
 
 def test_cs_step_tiny_diagonal():
     # i*diag(1,0) with b = i[1,1]: alpha_1 = -i/2, beta_2 = 1/2
     op = LinearOperator.from_matrix(1j * np.diag([1.0, 0.0]), CS)
-    st = step(op, tri.process_init(1j * np.ones(2), tri.STRUCTURES[CS]), CS)
+    st = step(op, tri.process_init(1j * np.ones(2)), CS)
     assert abs(st.alpha - (-0.5j)) <= 8 * EPS
     assert abs(st.beta_next - 0.5) <= 8 * EPS
 
 
 def test_identity_terminates_after_one_step():
     op = LinearOperator.from_matrix(np.eye(3), CS)
-    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]), CS)
+    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0])), CS)
     assert abs(st.alpha - 1.0) <= 4 * EPS
     assert st.beta_next == 0.0 and st.v_curr is None
 
 
 def test_zero_operator_terminates():
     op = LinearOperator.from_matrix(np.zeros((3, 3)), CS)
-    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0]), tri.STRUCTURES[CS]), CS)
+    st = step(op, tri.process_init(np.array([1.0, 0.0, 0.0])), CS)
     assert st.beta_next == 0.0
 
 
@@ -122,7 +120,7 @@ def test_skew_alpha_identically_zero():
 def test_skew_hermitian_identity_scaled():
     # A = i*I folds to -I: alpha_1 = -1, immediate termination
     op = rotated(1j * np.eye(2), SH)
-    st = tri.process_init(1j * np.array([1.0, 0.0]), tri.STRUCTURES[SH])
+    st = tri.process_init(1j * np.array([1.0, 0.0]))
     np.testing.assert_allclose(st.v_curr, [1j, 0.0], atol=4 * EPS)
     st = step(op, st, SH)
     assert abs(st.alpha - (-1.0)) <= 4 * EPS
@@ -219,7 +217,7 @@ def test_reorthogonalized_basis_block(variant):
          H: lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[variant]()
     b = rng.uniforms(n).astype(np.complex128)
     op, row = rotated(a, variant), tri.STRUCTURES[variant]
-    st = tri.process_init(row.rotate(b), row, reorthogonalize=True)
+    st = tri.process_init(row.rotate(b), reorthogonalize=True)
     kept, snapshots = [st.v_curr], [st.v_curr.copy()]
     blocks = {id(st.basis.rows().base)}
     for _ in range(n - 1):
@@ -284,7 +282,7 @@ def test_precond_identity_first_steps_match_plain():
     b = rng.uniforms(n).astype(np.complex128)
     op = LinearOperator.from_matrix(a, CS)
     ident = lambda z: z.copy()
-    stp = tri.process_init(b, tri.STRUCTURES[CS])
+    stp = tri.process_init(b)
     stq = tri.precond_init(b, ident, tri.STRUCTURES[CS])
     assert abs(stp.beta_next - stq.beta_next) <= 4 * EPS
     # drift amplifies through the recurrence, so only early steps are
@@ -305,7 +303,7 @@ def test_precond_identity_skew_step():
     b = rng.uniforms(9).astype(np.complex128)
     op = LinearOperator.from_matrix(a, SS)
     ident = lambda z: z.copy()
-    stp = step(op, tri.process_init(b, tri.STRUCTURES[SS]), SS)
+    stp = step(op, tri.process_init(b), SS)
     stq = tri.precond_step(op, tri.precond_init(b, ident, tri.STRUCTURES[SS]), ident,
                            tri.STRUCTURES[SS])
     assert abs(stp.beta_next - stq.beta_next) <= 16 * EPS
