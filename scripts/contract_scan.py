@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scan the converged-reason contract on the generated suites.
 
-    python3 scripts/contract_scan.py [--quick] [--maxxnorm X]
+    python3 scripts/contract_scan.py [--quick]
 
 A converged stop reason (solver.CONVERGED_REASONS) promises a right x.
 The scan solves the four suite families of oracle.FAMILIES through
@@ -9,8 +9,7 @@ cli.run_suite, at the paper protocol (tol = eps, maxit = 4n): n = 9, 16
 and 25, seeds 1-20, three problems from each half (compatible and
 least-squares), each plain and reorthogonalized.  A solve is right when
 its relative error against tsvd_solve, the minimum-length solution, is
-at most RIGHT.  --quick scans n = 9 at seeds 1-5 only; --maxxnorm sets
-the length bound, in the units of b (default SolverConfig's).
+at most RIGHT.  --quick scans n = 9 at seeds 1-5 only.
 
 One line per cell (setting, half, family) gives four counts:
 converged-right, converged-wrong, non-converged-right and
@@ -31,13 +30,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from symkrylov.cli import run_suite  # noqa: E402
 from symkrylov.oracle import FAMILIES  # noqa: E402
-from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason  # noqa: E402
+from symkrylov.solver import CONVERGED_REASONS, StopReason  # noqa: E402
 
 RIGHT = 1e-5
 COUNTS = ("conv-right", "conv-wrong", "nonconv-right", "nonconv-wrong")
 
 
-def scan(sizes, seeds, maxxnorm, count=3):
+def scan(sizes, seeds, count=3):
     """{(setting, half, family): (Counter of COUNTS and reasons, worst
     converged relerr)} over the grid."""
     cells = {}
@@ -45,7 +44,7 @@ def scan(sizes, seeds, maxxnorm, count=3):
         for family in FAMILIES:
             for n in sizes:
                 for seed in seeds:
-                    for rec in run_suite(family, n, count, seed, reorthogonalize, maxxnorm):
+                    for rec in run_suite(family, n, count, seed, reorthogonalize):
                         half = "compatible" if rec.compatible else "least-squares"
                         tally, worst = cells.get((setting, half, family), (collections.Counter(), 0.0))
                         converged = StopReason(rec.stop_reason) in CONVERGED_REASONS
@@ -67,10 +66,9 @@ def line(label, tally, worst):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="n = 9, seeds 1-5")
-    parser.add_argument("--maxxnorm", type=float, default=SolverConfig.maxxnorm)
     args = parser.parse_args(argv)
     sizes, seeds = ((9,), range(1, 6)) if args.quick else ((9, 16, 25), range(1, 21))
-    cells = scan(sizes, seeds, args.maxxnorm)
+    cells = scan(sizes, seeds)
     print(f"{'cell':<34} {' '.join(COUNTS)}")
     for setting in ("plain", "reorth"):
         for half in ("compatible", "least-squares"):

@@ -253,8 +253,7 @@ class RunRecord:
 
 
 def run_suite(family: str, n: int, count: int, seed: int,
-              reorthogonalize: bool = False,
-              maxxnorm: float = SolverConfig.maxxnorm) -> List[RunRecord]:
+              reorthogonalize: bool = False) -> List[RunRecord]:
     """Solve `count` compatible plus `count` incompatible generated
     problems with the standard protocol (tol = eps, maxit = 4n) and
     score each against the dense SVD reference."""
@@ -265,7 +264,7 @@ def run_suite(family: str, n: int, count: int, seed: int,
             x_ref = tsvd_solve(prob.a, prob.b)
             start = time.perf_counter()
             report = solve(prob.a, prob.b, prob.variant,
-                           SolverConfig(tol=EPS, maxit=4 * n, maxxnorm=maxxnorm),
+                           SolverConfig(tol=EPS, maxit=4 * n),
                            reorthogonalize=reorthogonalize)
             elapsed = time.perf_counter() - start
             denom = max(norm2(x_ref), EPS)

@@ -328,7 +328,7 @@ class _Engine:
         "tau2_km1", "eta_km1", "mu_l2",
         # estimates and decisions
         "phi", "phi_prev", "psi", "chi", "chi_locked", "omega", "anorm",
-        "gamma_min", "acond", "lanczos_done", "rank_deficient", "qlp",
+        "gamma_min", "acond", "lanczos_done", "collapsed", "qlp",
         "transfer", "transfer_iteration", "xnorm_stop", "keep_km1",
     )
 
@@ -436,9 +436,8 @@ class _Engine:
         # rank, and its roundoff level after an exhausted basis sits well
         # above n*eps*anorm.  A collapsed column takes no mu_k, and its
         # rotation's residual reduction was noise, so phi is reverted
-        collapsed = (abs_gamma4 <= self.n * EPS * anorm
-                     or lanczos_done and abs_gamma4 <= _SQRT_EPS * anorm)
-        self.rank_deficient = lanczos_done and collapsed
+        self.collapsed = collapsed = (abs_gamma4 <= self.n * EPS * anorm
+                                      or lanczos_done and abs_gamma4 <= _SQRT_EPS * anorm)
         if collapsed:
             phi = phi_prev
         self.phi = phi
@@ -504,7 +503,7 @@ class _Engine:
         if self.ar_converged(self.psi, self.phi_prev):
             return StopReason.Converged_ArNorm
         if self.lanczos_done:
-            return StopReason.Converged_ArNorm if self.rank_deficient else StopReason.LanczosExhausted
+            return StopReason.Converged_ArNorm if self.collapsed else StopReason.LanczosExhausted
         if self.acond >= self.cfg.maxcond:
             return StopReason.CondExceeded
         if self.xnorm_stop:
@@ -570,7 +569,7 @@ class _Vectors:
     def update(self, u: np.ndarray, e: _Engine) -> None:
         """Apply iteration e.k, whose solution-basis vector is u."""
         if not e.qlp:
-            if not e.xnorm_stop and e.gamma2 != 0.0 and not e.rank_deficient:
+            if not e.xnorm_stop and e.gamma2 != 0.0 and not (e.lanczos_done and e.collapsed):
                 x, d_km1, d_km2 = self.rows[0], self.rows[self.km1], self.rows[self.km2]
                 s_a = self.rows[_WINDOW + 3]       # scratch in the idle slot B
                 # d_k = (u - delta2 * d_km1 - eps_k * d_km2) / gamma2,
@@ -768,9 +767,13 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     except PreconditionerBreakdownError:
         # a breakdown in the look-ahead step keeps the loop's reason
         reason, psi = reason or StopReason.PreconditionerBreakdown, engine.psi
-    if reason is StopReason.CondExceeded and engine.ar_converged(psi, engine.phi):
-        # a collapsed column left an iterate that already passes the A*r
-        # test; the in-loop check lags one step and loses that race
+    if (reason is StopReason.CondExceeded and engine.collapsed
+            and engine.ar_converged(psi, engine.phi)):
+        # the stop came on a collapsed column, which added no mu_k and
+        # kept phi; the look-ahead psi matches the iterate it left, and
+        # that iterate may already pass the A*r test the in-loop check,
+        # one step behind, missed.  A CondExceeded stop on a maxcond that
+        # no collapse reached keeps its reason
         reason = StopReason.Converged_ArNorm
     return SolveReport(x=_ldexp(vectors.iterate(engine), e), reason=reason, iterations=engine.k,
                        transfer_iteration=engine.transfer_iteration, phi=_ldexp(engine.phi, e),

@@ -22,7 +22,8 @@ from symkrylov.core import EPS
 from symkrylov.oracle import suite_problem
 from symkrylov.precond import Diagonal
 from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
-from test_solver import ACCEPTED_BY, constructions, random_problem
+
+from problems import ACCEPTED_BY, constructions, random_problem
 
 SEED = 42424242
 FAMILIES = (("cs-h", 30), ("cs-m", 30), ("ss", 31), ("sh", 31))

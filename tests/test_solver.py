@@ -34,6 +34,8 @@ from symkrylov.solver import (
     solve,
 )
 
+from problems import ACCEPTED_BY, constructions, random_problem
+
 SEED = 42424242
 
 
@@ -119,33 +121,6 @@ def test_structure_check_can_be_skipped():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     r = solve(bad, np.ones(2), "cs", SolverConfig(check_structure=False))
     assert r.reason is not StopReason.NotStructured
-
-
-CS = SymmetryClass.COMPLEX_SYMMETRIC
-SS = SymmetryClass.SKEW_SYMMETRIC
-SH = SymmetryClass.SKEW_HERMITIAN
-H = SymmetryClass.HERMITIAN
-
-# A built from a complex R -> the classes whose probe accepts it: each
-# class's pairing (core.STRUCTURES) and nothing else decides
-ACCEPTED_BY = {
-    "R + R^T": {CS},
-    "R + R^H": {H},
-    "R - R^H": {SS, SH},
-    "real R - R^T": {SS, SH},
-    "R - R^T": set(),           # complex skew-symmetric: no class yet
-}
-
-
-def constructions(r):
-    return {"R + R^T": r + r.T, "R + R^H": r + r.conj().T, "R - R^H": r - r.conj().T,
-            "real R - R^T": r.real - r.real.T, "R - R^T": r - r.T}
-
-
-def random_problem(n, s):
-    rng = np.random.default_rng(s)
-    r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return r, rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 @given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**31))
@@ -610,6 +585,35 @@ def test_cond_guard_stops_at_a_maxcond_below_one_over_eps():
     r = solve(a, b, "hermitian", SolverConfig(maxcond=1e3, maxxnorm=1e300))
     assert r.reason is StopReason.CondExceeded
     assert 1e3 <= r.acond < 1.0 / EPS
+
+
+def test_collapse_stop_whose_iterate_passes_the_ar_test_is_converged():
+    # the reorthogonalized solve reaches acond >= maxcond on a collapsed
+    # column at iteration 7; the in-loop A*r test, one step behind, has
+    # not passed, and the look-ahead psi of the iterate it left does
+    p = suite_problem("cs-h", 9, 1, 1, False)
+    records = []
+    r = solve(p.a, p.b, p.variant, SolverConfig(tol=EPS, maxit=36), monitor=records.append,
+              reorthogonalize=True)
+    last = records[-1]
+    assert last.acond >= 1.0 / EPS and abs(last.gamma4) <= 9 * EPS * last.anorm
+    assert r.reason is StopReason.Converged_ArNorm and r.iterations == 7
+    assert r.psi <= EPS * r.anorm * r.phi
+    x_ref = tsvd_solve(p.a, p.b)
+    assert norm2(r.x - x_ref) <= 1e-10 * norm2(x_ref)
+
+
+def test_cond_stop_without_a_collapse_keeps_its_reason():
+    # a real skew A of odd order is singular; at maxcond = 10 the solve
+    # stops on a column far from collapse, with an iterate whose psi
+    # passes the A*r test: the reason stays CondExceeded
+    r, b = random_problem(3, 33)
+    records = []
+    rep = solve(r.real - r.real.T, b, "sh", SolverConfig(tol=1e-6, maxcond=10.0, maxxnorm=1e300),
+                monitor=records.append)
+    assert abs(records[-1].gamma4) > 1e-3 * records[-1].anorm
+    assert rep.reason is StopReason.CondExceeded and rep.iterations == 2
+    assert 0.0 < rep.psi <= 1e-6 * rep.anorm * rep.phi
 
 
 def test_abs_is_inf_where_a_finite_modulus_overflows():
