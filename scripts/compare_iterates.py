@@ -19,10 +19,10 @@ array differs, so a change that moves roundoff only can show it
 differs.
 
 The set:
-  * the four generated suites of bench/workloads.py (cs-h, cs-m, ss,
-    sh) at seeds 1-3, two problems from each of the compatible and
-    least-squares halves, under each configuration in CONFIGS, with and
-    without a monitor;
+  * the four generated suites of oracle.FAMILIES (cs-h, cs-m, ss, sh)
+    at their paper n, seeds 1-3, two problems from each of the
+    compatible and least-squares halves, under each configuration in
+    CONFIGS, with and without a monitor;
   * the three bench/ workloads at seed 1: the working tree's
     bench/workloads.py, built and run with its `sk` bound to each
     package in turn (REV's bench/ is not read);
@@ -38,11 +38,11 @@ The set:
     Beta2Zero_OneStep, NotStructured, NonFinite and
     PreconditionerBreakdown), with and without a monitor, plus an entry
     with a NaN tol, which records the ValueError it raises;
-  * a generator block, which runs no solve: every suite problem the
-    bench/ suite-dense workload builds at seeds 1-20 (its four families,
-    both halves, its per_half problems per half), each recorded as a
-    sha256 of a.tobytes() + b.tobytes() and its rank, so a change to the
-    problem generator is checked directly, not only through the iterates.
+  * a generator block, which runs no solve: the four suites at their
+    paper n, seeds 1-20, both halves, with as many problems per half as
+    the bench/ suite-dense workload builds, each recorded as a sha256 of
+    a.tobytes() + b.tobytes() and its rank, so a change to the problem
+    generator is checked directly, not only through the iterates.
 Before the summary line, one line tallies the stop reasons of the
 working tree's solves and one counts the problems that differ in arrays
 only, with their largest x gap, against those that differ in a
@@ -66,8 +66,10 @@ import numpy as np
 
 import ab
 from ab import workloads
+from symkrylov.oracle import FAMILIES as SUITES
 
-FAMILIES = workloads.SUITE_FAMILIES
+# each suite at the n of the paper's protocol, from the working tree's table
+FAMILIES = tuple((family, suite.paper_n) for family, suite in SUITES.items())
 SEEDS = (1, 2, 3)
 PER_HALF = 2
 BENCH_SEED = 1

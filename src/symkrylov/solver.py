@@ -266,7 +266,7 @@ class _Driver:
         st = self.st
         if self.m_solve is not None:
             u = np.multiply(st.q_curr, 1.0 / st.beta_next, out=out)   # q / beta
-            st = self.st = self.step(self.op, st, self.m_solve, self.row)
+            st = self.st = self.step(self.op, st, u, self.m_solve, self.row)
         else:
             u = np.conj(st.v_curr, out=out) if self.row.conj else st.v_curr
             st = self.st = self.step(self.op, st, u)
@@ -686,9 +686,10 @@ def solve(A, b, variant: Union[SymmetryClass, str, None] = None,
     the operator is applied (see _Driver).
 
     b is scaled by a power of two on entry, and every threshold of the
-    probe and the engine is relative to the operator's norm, so without
-    a preconditioner solve(2**k * A, 2**k * b) returns the x of
-    solve(A, b) bit for bit while the process's products stay in range.
+    probe and the engine is relative to the operator's norm, so
+    solve(2**k * A, 2**k * b) returns the x of solve(A, b) bit for bit,
+    with or without a (fixed) preconditioner, while the process's
+    products stay in range.
     A converged reason (CONVERGED_REASONS) on an inconsistent problem
     means a least-squares x by the recurred estimates; it is the
     minimum-length one wherever the basis stays orthogonal.

@@ -19,6 +19,12 @@ which also states each class's pairing) say how a class enters it:
 No step reads `rot` or takes a shift: the solver either moves T's
 diagonal or hands the steps the operator rot*(A - shift*I).
 
+The preconditioned form runs the same recurrence on z_k, with q_k =
+M^{-1} z_k and beta_k = sqrt(<q_k, z_k>), the length of q_k in M's norm
+and of z_k in M^{-1}'s.  Its step is handed u = q_k/beta_k, the basis vector the solver
+forms anyway, and applies the operator to it, as the plain step does to
+v_k, so every product of either form stays at the scale of A.
+
 A reorthogonalized plain process keeps v_1..v_k as the rows of one
 contiguous block (`_Basis`) and takes each new direction through two
 passes of classical Gram-Schmidt (CGS2) against all of them, each pass
@@ -53,7 +59,8 @@ BREAKDOWN_RTOL = 1e-10
 # 12288, 98-111 at 16384, 116-123 at 32768 and 160-165 ms as one chunk
 # (five whole-vector passes).  Smaller chunks pay per-call overhead,
 # larger ones leave L2; 8192 (five 128 KiB operands) is the smallest
-# size on the flat part
+# size on the flat part.  That was measured on the sweep's earlier form,
+# five calls and two temporaries per chunk; it now makes four and one
 _CHUNK = 8192
 
 
@@ -109,10 +116,11 @@ class TridiagState:
     beta_next is beta_{k+1}; v_curr is v_{k+1} (None once the recurrence
     terminates with beta_{k+1} = 0).  A reorthogonalized run keeps its
     basis in `basis`, whose rows v_curr and v_prev are.  For
-    preconditioned runs z/q carry the auxiliary sequences and v_* stay
-    None; a preconditioned step writes z_{k+1} into the storage of
-    z_{k-1}, so only the latest state of a preconditioned run holds
-    valid z vectors.
+    preconditioned runs z/q carry the auxiliary sequences, unnormalized
+    (q_curr has length beta_next in M's norm, z_curr in M^{-1}'s), and
+    v_* stay None; the next step takes u = q_curr/beta_next from its caller.  A
+    preconditioned step writes z_{k+1} into the storage of z_{k-1}, so
+    only the latest state of a preconditioned run holds valid z vectors.
     """
 
     k: int
@@ -236,51 +244,49 @@ def precond_init(b: np.ndarray, m_solve: Callable, structure: Structure,
     return TridiagState(k=0, beta_next=beta1, z_curr=z1, q_curr=q1)
 
 
-def precond_step(op: Callable, st: TridiagState, m_solve: Callable,
+def precond_step(op: Callable, st: TridiagState, u: np.ndarray, m_solve: Callable,
                  structure: Structure) -> TridiagState:
-    """One preconditioned step: the shared recurrence in z/q form.
+    """One preconditioned step: the shared recurrence in z/q form, with
+    the operator applied to u = q_k/beta, which the caller forms.
 
-    z_{k+1} = p/beta - (alpha/beta) z_k - (beta/beta_k) z_{k-1}, with
-    p = op(q_k), is written into the storage of z_{k-1}, which retires
-    here; the first step writes it into a new array.  A skew row has no
-    alpha term and forms -p/beta + (beta/beta_k) z_{k-1}.  After the
-    whole-vector inner product that gives alpha, one sweep forms z_{k+1}
-    _CHUNK entries at a time, each chunk by p/beta, (alpha/beta) z_k,
-    their difference, (beta/beta_k) z_{k-1} and the last difference, in
-    that order.  These are the ufunc calls of the whole-vector
-    expression on the same scalars, so every entry gets the same bits,
-    and each chunk stays in cache from its first call to its last.  A
-    chunk's two temporaries live in a (2, min(n, _CHUNK)) array of the
-    step's own.  Arrays the operator or the preconditioner return are
-    only read: either may hand back its argument or a cached array.
+    z_{k+1} = p - (alpha/beta) z_k - (beta/beta_k) z_{k-1}, with
+    p = op(u) and alpha = <u, p>, is written into the storage of
+    z_{k-1}, which retires here; the first step writes it into a new
+    array.  A skew row has no alpha term and forms
+    -p + (beta/beta_k) z_{k-1}.  As on the plain step, the operator
+    sees a vector of unit length (in M's norm), so p and alpha stay at
+    the scale of A.  After the whole-vector inner product that gives
+    alpha, one sweep forms z_{k+1} _CHUNK entries at a time, each chunk
+    by (alpha/beta) z_k, p less that (-p on a skew row), (beta/beta_k)
+    z_{k-1} and the last difference, in that order.  These are the ufunc
+    calls of the whole-vector expression on the same scalars, so every
+    entry gets the same bits, and each chunk stays in cache from its
+    first call to its last.  A chunk's one temporary lives in a
+    min(n, _CHUNK) array of the step's own.  Arrays the operator or the
+    preconditioner return are only read: either may hand back its
+    argument or a cached array.
     """
-    z, q, beta = st.z_curr, st.q_curr, st.beta_next
-    assert z is not None and q is not None and beta > 0.0
+    z, beta = st.z_curr, st.beta_next
+    assert z is not None and beta > 0.0
     z_prev = st.z_prev
-    # each out= call below is one operation of the expression in its
-    # comment, in numpy's evaluation order, and a division by beta is a
-    # multiplication by 1/beta (see process_init), so the bits do not change
-    p = op(q)
-    if structure.skew:
-        alpha: complex = 0.0
-        p_scale = -1.0 / beta
-    else:
-        alpha = structure.pair(q, p) / beta**2
-        p_scale = 1.0 / beta
+    p = op(u)
+    alpha = 0.0 if structure.skew else structure.pair(u, p)
     z_next = np.empty_like(z) if z_prev is None else z_prev
     z_scale = alpha / beta
     prev_scale = None if z_prev is None else beta / st.beta_curr
     combine = np.add if structure.skew else np.subtract
-    t, t2 = np.empty((2, min(z.shape[0], _CHUNK)), dtype=np.complex128)
+    # each out= call below is one operation of the expression in its
+    # comment, in numpy's evaluation order, so the bits do not change
+    t = np.empty(min(z.shape[0], _CHUNK), dtype=np.complex128)
     for lo in range(0, z.shape[0], _CHUNK):
         hi = lo + _CHUNK
         p_c, z_c, out = p[lo:hi], z[lo:hi], z_next[lo:hi]
-        m = out.shape[0]
-        # the chunk's p / beta goes straight to z_{k+1} on the first step
-        t_c = out if z_prev is None else t[:m]
-        np.multiply(p_c, p_scale, out=t_c)                       # p / beta, or -p / beta
-        if not structure.skew:                                   # - (alpha / beta) z
-            np.subtract(t_c, np.multiply(z_scale, z_c, out=t2[:m]), out=t_c)
+        # the chunk's first term goes straight to z_{k+1} on the first step
+        t_c = out if z_prev is None else t[:out.shape[0]]
+        if structure.skew:
+            np.negative(p_c, out=t_c)                            # -p
+        else:                                                    # p - (alpha / beta) z
+            np.subtract(p_c, np.multiply(z_scale, z_c, out=t_c), out=t_c)
         if z_prev is not None:
             # t - (beta / beta_k) z_{k-1}; + for a skew row
             np.multiply(prev_scale, out, out=out)

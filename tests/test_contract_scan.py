@@ -15,12 +15,15 @@ def test_quick_scan_has_no_converged_wrong_solve(capsys):
     lines = capsys.readouterr().out.splitlines()
     print("\n".join(lines))
     cells = [line.split() for line in lines[1:-1]]
-    # 2 settings x 2 halves x (4 families + a total)
-    assert len(cells) == 20
+    # (2 settings x 2 halves + the diagonal setting's compatible half)
+    # x (4 families + a total)
+    assert len(cells) == 25
     for cell in cells:
         assert cell[4] == "0", cell                     # converged-wrong
     totals = {" ".join(cell[:2]): [int(c) for c in cell[3:7]]
               for cell in cells if cell[2] == "total"}
     # 4 families x 5 seeds x 3 problems per half, each counted once
     assert all(sum(counts) == 60 for counts in totals.values())
-    assert totals["plain compatible"][0] == totals["reorth compatible"][0] == 60
+    assert set(totals) == {"plain compatible", "plain least-squares", "reorth compatible",
+                           "reorth least-squares", "diagonal compatible"}
+    assert all(totals[f"{s} compatible"][0] == 60 for s in ("plain", "reorth", "diagonal"))

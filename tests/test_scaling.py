@@ -8,7 +8,9 @@ outputs stay in range, even where b itself is subnormal or its norm
 overflows.  Every threshold of the probe and the engine is relative to
 the operator's norm, so the plain process on 2**k * A runs the solve on A
 with the tridiagonal T_k times 2**k, bit for bit, as long as no product
-under- or overflows.
+under- or overflows.  So does the preconditioned process under a fixed
+M, whose step applies the operator to a vector of unit length in M's
+norm.
 """
 
 import math
@@ -122,21 +124,22 @@ def test_tiny_rhs_preconditioned_is_no_converged_zero():
     assert not (r.reason in CONVERGED_REASONS and not r.x.any())
 
 
-def assert_scaled_operator_solve(a, b, cls, k, reorthogonalize):
+def assert_scaled_operator_solve(a, b, cls, k, **options):
     """solve(2**k A, 2**k b) has the bits of solve(A, b): x, the reason,
     the counts, chi and acond the same, phi, omega and anorm times 2**k
     and psi times 2**2k.  With the length bound lifted, solve(2**k A, b)
-    returns 2**-k times the x of solve(A, b)."""
-    ref = solve(a, b, cls, reorthogonalize=reorthogonalize)
-    r = solve(scaled(a, k), scaled(b, k), cls, reorthogonalize=reorthogonalize)
+    returns 2**-k times the x of solve(A, b).  `options` go to every
+    solve: reorthogonalize, or a preconditioner, which is not scaled."""
+    ref = solve(a, b, cls, **options)
+    r = solve(scaled(a, k), scaled(b, k), cls, **options)
     assert (r.reason, r.iterations, r.transfer_iteration) == \
         (ref.reason, ref.iterations, ref.transfer_iteration)
     assert r.x.tobytes() == ref.x.tobytes()
     assert (r.chi, r.acond) == (ref.chi, ref.acond)
     for name, power in (("phi", k), ("omega", k), ("anorm", k), ("psi", 2 * k)):
         assert getattr(r, name) == math.ldexp(getattr(ref, name), power), name
-    ref = solve(a, b, cls, CONFIG, reorthogonalize=reorthogonalize)
-    r = solve(scaled(a, k), b, cls, CONFIG, reorthogonalize=reorthogonalize)
+    ref = solve(a, b, cls, CONFIG, **options)
+    r = solve(scaled(a, k), b, cls, CONFIG, **options)
     assert r.x.tobytes() == scaled(ref.x, -k).tobytes()
 
 
@@ -155,7 +158,23 @@ def test_scaled_operator_scales_the_solve_bitwise(n, s, k, deficient, reorthogon
         r[:, n // 3:] = 0.0
     for name, a in constructions(r).items():
         for cls in ACCEPTED_BY[name]:
-            assert_scaled_operator_solve(a, b, cls, k, reorthogonalize)
+            assert_scaled_operator_solve(a, b, cls, k, reorthogonalize=reorthogonalize)
+
+
+@given(st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=-400, max_value=400), st.booleans())
+@seed(2030)
+@settings(max_examples=100, deadline=None)
+def test_scaled_operator_scales_the_preconditioned_solve_bitwise(n, s, k, deficient):
+    # M is held fixed while A is scaled.  beta = sqrt(q'z) pairs two
+    # vectors at the scale of A, so past about 2**+-500 q'z leaves the range
+    r, b = random_problem(n, s)
+    if deficient:
+        r[:, n // 3:] = 0.0
+    m = Diagonal(0.5 + np.random.default_rng([s, 1]).uniform(size=n))
+    for name, a in constructions(r).items():
+        for cls in ACCEPTED_BY[name]:
+            assert_scaled_operator_solve(a, b, cls, k, preconditioner=m)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, -300, -50, 0, 50, 300, 600, 1000])

@@ -290,7 +290,8 @@ def test_precond_identity_first_steps_match_plain():
     for k, (tol_s, tol_v) in enumerate([(4 * EPS, 1e-14), (16 * EPS, 1e-13),
                                         (64 * EPS, 1e-12)]):
         stp = step(op, stp, CS)
-        stq = tri.precond_step(op, stq, ident, tri.STRUCTURES[CS])
+        stq = tri.precond_step(op, stq, stq.q_curr * (1.0 / stq.beta_next), ident,
+                               tri.STRUCTURES[CS])
         assert abs(stp.alpha - stq.alpha) <= tol_s
         assert abs(stp.beta_next - stq.beta_next) <= tol_s
         v_pre = stq.z_curr / stq.beta_next
@@ -304,7 +305,8 @@ def test_precond_identity_skew_step():
     op = LinearOperator.from_matrix(a, SS)
     ident = lambda z: z.copy()
     stp = step(op, tri.process_init(b), SS)
-    stq = tri.precond_step(op, tri.precond_init(b, ident, tri.STRUCTURES[SS]), ident,
+    stq = tri.precond_init(b, ident, tri.STRUCTURES[SS])
+    stq = tri.precond_step(op, stq, stq.q_curr * (1.0 / stq.beta_next), ident,
                            tri.STRUCTURES[SS])
     assert abs(stp.beta_next - stq.beta_next) <= 16 * EPS
     # plain negates the stored vector; the z recurrence carries the sign
@@ -319,7 +321,8 @@ def test_precond_diagonal_quarter():
     st = tri.precond_init(b, lambda z: z / 4.0, tri.STRUCTURES[CS])
     assert abs(st.beta_next - 0.5) <= 4 * EPS
     op = LinearOperator.from_matrix(np.eye(2), CS)
-    st = tri.precond_step(op, st, lambda z: z / 4.0, tri.STRUCTURES[CS])
+    st = tri.precond_step(op, st, st.q_curr * (1.0 / st.beta_next), lambda z: z / 4.0,
+                          tri.STRUCTURES[CS])
     assert abs(st.alpha - 0.25) <= 8 * EPS
     assert st.beta_next <= 8 * EPS
 
@@ -399,17 +402,19 @@ def test_init_vector_is_rotated_b_over_beta(variant):
 # replaces, kept here as the reference: same ufunc calls, operand order
 # and scalars, so z_{k+1} and alpha must agree bit for bit
 
-def unblocked_precond_z(op, st, structure):
-    """(alpha, z_{k+1}) of one preconditioned step by five whole-vector
-    passes, each a new array; reads st and writes nothing of it."""
-    z, q, beta, z_prev = st.z_curr, st.q_curr, st.beta_next, st.z_prev
-    p = op(q)
+def unblocked_precond_z(op, st, u, structure):
+    """(alpha, z_{k+1}) of one preconditioned step on u = q_k/beta by
+    whole-vector passes, each a new array: p - (alpha/beta) z_k -
+    (beta/beta_k) z_{k-1}, or -p + (beta/beta_k) z_{k-1} on a skew row.
+    Reads st and u and writes nothing of them."""
+    z, beta, z_prev = st.z_curr, st.beta_next, st.z_prev
+    p = op(u)
     if structure.skew:
         alpha = 0.0
-        t = np.multiply(p, -1.0 / beta)
+        t = np.negative(p)
     else:
-        alpha = complex(np.dot(q, p) if structure.conj else np.vdot(q, p)) / beta**2
-        t = np.subtract(np.multiply(p, 1.0 / beta), np.multiply(alpha / beta, z))
+        alpha = complex(np.dot(u, p) if structure.conj else np.vdot(u, p))
+        t = np.subtract(p, np.multiply(alpha / beta, z))
     if z_prev is None:
         return alpha, t
     scaled = np.multiply(beta / st.beta_curr, z_prev)
@@ -453,17 +458,24 @@ def test_precond_sweep_matches_whole_vector_passes(variant, shift, n, kind):
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     st = tri.precond_init(row.rotate(b), m_solve, row)
     for k in range(4):
+        # the solver hands the step u = q_k / beta as q_k times 1/beta
+        u = st.q_curr * (1.0 / st.beta_next)
         # the reference reads copies, since the step writes z_{k-1} over
         copies = {f: None if getattr(st, f) is None else getattr(st, f).copy()
                   for f in ("z_prev", "z_curr", "q_curr")}
-        alpha, z_next = unblocked_precond_z(op, dataclasses.replace(st, **copies), row)
-        st = tri.precond_step(op, st, m_solve, row)
+        alpha, z_next = unblocked_precond_z(op, dataclasses.replace(st, **copies), u, row)
+        st = tri.precond_step(op, st, u, m_solve, row)
         assert np.complex128(st.alpha).tobytes() == np.complex128(alpha).tobytes()
         assert st.z_curr.tobytes() == z_next.tobytes()
         assert st.z_prev.tobytes() == copies["z_curr"].tobytes()
         if k == 0:
             # the first step has no z_{k-1} to write over
             assert not np.shares_memory(st.z_curr, st.z_prev)
+        if st.beta_next == 0.0:
+            # a Krylov space of dimension 1 (n = 1, or the identity) can
+            # end the process exactly, z_2 = 0 in four of these cases, and
+            # a solve stops there too
+            break
 
 
 def test_preconditioned_empty_solve_takes_no_step():
