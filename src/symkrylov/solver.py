@@ -281,9 +281,6 @@ class _Driver:
         return u, alpha - self.diagonal_shift, bn, bn, st.beta_curr, beta_next
 
 
-_SQRT_EPS = math.sqrt(EPS)
-
-
 def _abs(z) -> float:
     """|z|, or inf where the magnitude of a finite complex z overflows:
     abs() raises OverflowError there, np.abs returns inf."""
@@ -430,14 +427,10 @@ class _Engine:
 
         # the one rank decision, relative to anorm, so that it does not
         # depend on the scale of A: the revealed diagonal has collapsed
-        # when it is at the noise level n*eps*anorm, or when it is the
-        # deficient final column.  That column is the one signal phi
-        # cannot carry: the terminal rotation has |s| = 0 for either
-        # rank, and its roundoff level after an exhausted basis sits well
-        # above n*eps*anorm.  A collapsed column takes no mu_k, and its
-        # rotation's residual reduction was noise, so phi is reverted
-        self.collapsed = collapsed = (abs_gamma4 <= self.n * EPS * anorm
-                                      or lanczos_done and abs_gamma4 <= _SQRT_EPS * anorm)
+        # when it is at the noise level n*eps*anorm, the rank rule the
+        # oracle scores against.  A collapsed column takes no mu_k, and
+        # its rotation's residual reduction was noise, so phi is reverted
+        self.collapsed = collapsed = abs_gamma4 <= self.n * EPS * anorm
         if collapsed:
             phi = phi_prev
         self.phi = phi
@@ -493,9 +486,14 @@ class _Engine:
         return phi > 0.0 and psi <= self.rtol * self.anorm * phi
 
     def verdict(self) -> Optional[StopReason]:
-        """Why to stop after iteration k, or None to go on.  A collapsed
-        column is no reason to stop: it added no mu_k and kept phi, and
-        the tests below see the iterate it left."""
+        """Why to stop after iteration k, or None to go on.  The length
+        bound is tested first: past it the iterate is not the one phi
+        describes (the MINRES phase skipped its x update, the QLP phase
+        dropped trailing mu's), so no converged reason may outrank it.
+        A collapsed column is no reason to stop: it added no mu_k and
+        kept phi, and the tests below see the iterate it left."""
+        if self.xnorm_stop:
+            return StopReason.XnormExceeded
         if self.lanczos_done and self.k == 1:
             return StopReason.Beta2Zero_OneStep
         if self.phi / (self.anorm * self.chi + self.beta1) <= self.rtol:
@@ -506,8 +504,6 @@ class _Engine:
             return StopReason.Converged_ArNorm if self.collapsed else StopReason.LanczosExhausted
         if self.acond >= self.cfg.maxcond:
             return StopReason.CondExceeded
-        if self.xnorm_stop:
-            return StopReason.XnormExceeded
         return None
 
     def record(self, x: np.ndarray, e: int) -> MonitorRecord:

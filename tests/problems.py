@@ -1,10 +1,12 @@
-"""Random test problems shared by the solver and scaling tests: a
-complex R and b from a seed, the operators built from R, and the
-classes whose structure probe accepts each."""
+"""Random test problems shared by the solver, scaling, ownership and
+preconditioner tests: a complex R and b from a seed, the operators built
+from R, the classes whose structure probe accepts each, and one random
+matrix of each class."""
 
 import numpy as np
 
 from symkrylov.core import SymmetryClass
+from symkrylov.oracle import skew_hermitian_matrix, skew_symmetric_matrix, symmetric_imaginary_matrix
 
 CS = SymmetryClass.COMPLEX_SYMMETRIC
 SS = SymmetryClass.SKEW_SYMMETRIC
@@ -31,3 +33,12 @@ def random_problem(n, s):
     rng = np.random.default_rng(s)
     r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return r, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def class_matrix(variant, n, rng):
+    """An order-n matrix of the class, from one generator call on the
+    SplitMix64 stream rng."""
+    return {CS: lambda: symmetric_imaginary_matrix(n, n, rng),
+            SS: lambda: skew_symmetric_matrix(n, rng),
+            SH: lambda: skew_hermitian_matrix(n, rng),
+            H: lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[SymmetryClass(variant)]()

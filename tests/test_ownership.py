@@ -18,15 +18,11 @@ import pytest
 
 from symkrylov import solver
 from symkrylov.core import EPS, LinearOperator, SymmetryClass
-from symkrylov.oracle import (
-    SplitMix64,
-    skew_hermitian_matrix,
-    skew_symmetric_matrix,
-    suite_problem,
-    symmetric_imaginary_matrix,
-)
+from symkrylov.oracle import SplitMix64, suite_problem
 from symkrylov.precond import Custom, Diagonal
 from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
+
+from problems import class_matrix
 
 SEED = 42424242
 N = 24
@@ -37,14 +33,7 @@ QLP = SolverConfig(tol=EPS, trancond=1.0)
 def class_problem(variant):
     """A matrix of each class and a complex right-hand side."""
     rng = SplitMix64(2024)
-    if variant is SymmetryClass.COMPLEX_SYMMETRIC:
-        a = symmetric_imaginary_matrix(N, N, rng)
-    elif variant is SymmetryClass.SKEW_SYMMETRIC:
-        a = skew_symmetric_matrix(N, rng)
-    elif variant is SymmetryClass.SKEW_HERMITIAN:
-        a = skew_hermitian_matrix(N, rng)
-    else:
-        a = 1j * symmetric_imaginary_matrix(N, N, rng)
+    a = class_matrix(variant, N, rng)
     b = rng.uniforms(N) + 1j * rng.uniforms(N)
     return a, b
 

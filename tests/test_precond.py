@@ -11,6 +11,8 @@ from symkrylov.oracle import SplitMix64, skew_symmetric_matrix, suite_problem
 from symkrylov.precond import Custom, Diagonal, Identity, jacobi_from_matrix
 from symkrylov.solver import CONVERGED_REASONS, SolverConfig, StopReason, solve
 
+from problems import constructions
+
 SEED = 42424242
 
 
@@ -178,8 +180,8 @@ CARRIED = {"cs": {"real", "imaginary", "complex"}, "hermitian": {"real"},
 
 def _class_matrix(variant, r):
     """A matrix of the class from a complex square r."""
-    return {"cs": r + r.T, "hermitian": r + r.conj().T,
-            "sh": r - r.conj().T, "ss": r - r.conj().T}[variant]
+    return constructions(r)[{"cs": "R + R^T", "hermitian": "R + R^H",
+                             "sh": "R - R^H", "ss": "R - R^H"}[variant]]
 
 
 def _counted(a, variant):

@@ -34,7 +34,7 @@ from symkrylov.solver import (
     solve,
 )
 
-from problems import ACCEPTED_BY, constructions, random_problem
+from problems import ACCEPTED_BY, class_matrix, constructions, random_problem
 
 SEED = 42424242
 
@@ -399,14 +399,7 @@ def test_config_shift_equals_shifted_matrix():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("variant", ["cs", "ss", "sh", "hermitian"])
 def test_non_finite_rhs_rejected(variant, bad, preconditioned):
-    from symkrylov.oracle import skew_hermitian_matrix, skew_symmetric_matrix
-    from symkrylov.precond import Diagonal
-
-    rng = SplitMix64(813)
-    a = {"cs": lambda: symmetric_imaginary_matrix(8, 8, rng),
-         "ss": lambda: skew_symmetric_matrix(8, rng),
-         "sh": lambda: skew_hermitian_matrix(8, rng),
-         "hermitian": lambda: 1j * symmetric_imaginary_matrix(8, 8, rng)}[variant]()
+    a = class_matrix(variant, 8, SplitMix64(813))
     b = np.ones(8, dtype=np.complex128)
     b[3] = bad
     m = Diagonal(np.full(8, 2.0)) if preconditioned else None
@@ -421,15 +414,9 @@ def test_non_finite_rhs_rejected(variant, bad, preconditioned):
 def test_non_finite_operator_output_stops(variant, bad, preconditioned, trancond):
     # the operator turns bad on one call: call 2 is in the symmetry
     # probe (4 applies), call 9 is the fifth process step
-    from symkrylov.oracle import skew_hermitian_matrix, skew_symmetric_matrix
-    from symkrylov.precond import Diagonal
-
     rng = SplitMix64(814)
     n = 24
-    a = {"cs": lambda: symmetric_imaginary_matrix(n, n, rng),
-         "ss": lambda: skew_symmetric_matrix(n, rng),
-         "sh": lambda: skew_hermitian_matrix(n, rng),
-         "hermitian": lambda: 1j * symmetric_imaginary_matrix(n, n, rng)}[variant]()
+    a = class_matrix(variant, n, rng)
     b = rng.uniforms(n) + 1j * rng.uniforms(n)
     m = Diagonal(np.full(n, 2.0)) if preconditioned else None
     for bad_call in (2, 9):
@@ -575,6 +562,49 @@ def test_tight_xnorm_stops_immediately():
     r = solve(p.a, p.b, p.variant, SolverConfig(maxxnorm=1e-8))
     assert r.reason is StopReason.XnormExceeded
     assert r.chi <= 1e-8
+
+
+_RANK_ONE = 1.5 * np.outer([1.0, 1.0 + 2.0j], [1.0, 1.0 - 2.0j])
+
+
+@pytest.mark.parametrize("a, b, config, reorthogonalize, reason", [
+    # a true eigenvalue far below ||A|| but above n*eps*||A|| is no
+    # noise: its column takes a mu, and the length bound or convergence
+    # ends the solve
+    pytest.param(np.diag([1.0, lam]), [1.0, 1.0], config, False, reason,
+                 id=f"diag-{lam:g}-maxxnorm-{config.maxxnorm:g}")
+    for lam in (1e-8, 1e-12)
+    for config, reason in ((SolverConfig(), StopReason.XnormExceeded),
+                           (SolverConfig(maxxnorm=math.inf), None))
+] + [
+    # the length bound outranks the one-step stop, whose x is 0
+    pytest.param(np.eye(2), [1e7, 1e7], SolverConfig(trancond=trancond), False,
+                 StopReason.XnormExceeded, id=f"eye-trancond-{trancond:g}")
+    for trancond in (1e7, 1.0)
+] + [
+    # an inconsistent rank-one problem: the plain process loses
+    # orthogonality and reaches the length bound, the reorthogonalized
+    # one the minimum-length x
+    pytest.param(_RANK_ONE, [1.0, 1.0j], SolverConfig(), False, StopReason.XnormExceeded,
+                 id="rank-one-plain"),
+    pytest.param(_RANK_ONE, [1.0, 1.0j], SolverConfig(), True, None, id="rank-one-reorth"),
+])
+def test_a_converged_reason_means_a_right_x(a, b, config, reorthogonalize, reason):
+    # reason None asks for a converged reason: then x is right, by its
+    # backward error on a nonsingular a, against the pseudoinverse
+    # solution on a singular one
+    r = solve(a, b, "hermitian", config, reorthogonalize=reorthogonalize)
+    if reason is not None:
+        assert r.reason is reason
+        return
+    assert r.reason in CONVERGED_REASONS
+    b = np.asarray(b, dtype=np.complex128)
+    if np.linalg.matrix_rank(a) < a.shape[0]:
+        x_ref = np.linalg.pinv(a) @ b
+        assert norm2(r.x - x_ref) <= 1e-12 * norm2(x_ref)
+    else:
+        residual = norm2(b - a @ r.x)
+        assert residual <= 1e-10 * (np.linalg.norm(a, 2) * norm2(r.x) + norm2(b))
 
 
 def test_cond_guard_stops_at_a_maxcond_below_one_over_eps():
